@@ -173,7 +173,8 @@ def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
     return None
 
 
-@lru_cache(maxsize=256)
+# Kept small: each key pins its cover's whole subdivision tower in memory.
+@lru_cache(maxsize=8)
 def _nerve_simplices(cs: CoverSequence, kappa: int) -> frozenset:
     out: set = set()
     for tau in maximal_simplices(cs.working_complex()):

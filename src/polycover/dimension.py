@@ -28,10 +28,9 @@ from .errors import (
     LevelBudgetExceeded,
     NoCoverage,
 )
-from .realization import PolyhedralSpace, StarSet, push_star, star_subset
+from .realization import PolyhedralSpace, StarSet, _least_overlap, push_star, star_subset
 from .selections import (
     DEFAULT_MAX_LEVEL,
-    _shrunk,
     build_canonical,
     extract_c_refinement,
     is_canonical,
@@ -71,7 +70,8 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
     """Check disjointness per family, per-level refinement, and coverage.
 
     All three checks are exact simplex combinatorics at a common level;
-    the first violation is reported with a witness.
+    the first violation is reported with a witness.  An overlap witness
+    names the least overlapping pair of elements in family order.
     """
     space = r.source.space
     level = r.source.working_level
@@ -85,14 +85,13 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
         for family in r.families
     ]
     for n, family in enumerate(pushed):
-        for tau in stage.simplices:
-            met = [eid for eid, core in family if tau & core]
-            if len(met) > 1:
-                return RefinementReport(
-                    False,
-                    "overlap",
-                    {"level": n, "elements": met[:2]},
-                )
+        pair = _least_overlap(stage, [core for _, core in family])
+        if pair is not None:
+            return RefinementReport(
+                False,
+                "overlap",
+                {"level": n, "elements": [family[i][0] for i in pair]},
+            )
 
     source = pad_levels(r.source, r.kappa)
     for n, family in enumerate(r.families):
@@ -125,12 +124,16 @@ def ostrand_refine(
 ) -> CRefinement:
     """Build n+1 disjoint families from barycenter dimension classes.
 
-    Subdivide until every vertex star fits inside some element of every
-    level (the Lebesgue step), subdivide once more, and let family k hold
-    the stars of the barycenters of the k-dimensional simplices.  Equal
-    dimension barycenters are never adjacent, which gives disjointness;
-    each such star sits inside the pushed star of any vertex of its
-    simplex, which gives the refinement.
+    The working stage is already fine enough for the Lebesgue step: a
+    vertex star lies inside an element exactly when the vertex is in the
+    element's core, and every level covers the space, so every working
+    vertex star fits inside some element of every level.  Subdivide once,
+    and let family k hold the stars of the barycenters of the
+    k-dimensional working simplices.  Equal dimension barycenters are
+    never adjacent, which gives disjointness; each such star sits inside
+    the pushed star of any vertex of its simplex, which gives the
+    refinement.  A `max_level` at or below the working level leaves no
+    room for that subdivision and raises LevelBudgetExceeded.
     """
     space = cs.space
     if n < dim_oracle(space):
@@ -142,28 +145,13 @@ def ostrand_refine(
         if not level_covers(padded, k):
             raise NoCoverage(f"level {k} does not cover the space")
 
-    lebesgue = None
-    for m in range(cs.working_level, max_level):
-        stage = space.stage_complex(m)
-        fine_enough = True
-        for k in range(n + 1):
-            fitting: set = set()
-            for _, star in padded.levels[k]:
-                core = push_star(star, m).core_vertices
-                fitting.update(_shrunk(stage, core))
-            if not stage.vertices <= fitting:
-                fine_enough = False
-                break
-        if fine_enough:
-            lebesgue = m
-            break
-    if lebesgue is None:
+    if max_level <= cs.working_level:
         raise LevelBudgetExceeded(
             f"no fine enough stage up to level {max_level - 1}"
         )
 
-    mstar = lebesgue + 1
-    stage = space.stage_complex(lebesgue)
+    mstar = cs.working_level + 1
+    stage = cs.working_complex()
     families = []
     for k in range(n + 1):
         row = []
@@ -216,15 +204,11 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
         for v in s:
             adj[index[v]] |= bits
 
-    common_stage = space.stage_complex(common)
     padded = pad_levels(cs, kappa)
-    shrunk_sets = []
-    for fam in range(kappa):
-        row = []
-        for _, star in padded.levels[fam]:
-            core = push_star(star, common).core_vertices
-            row.append(_shrunk(common_stage, core))
-        shrunk_sets.append(row)
+    cores = [
+        [push_star(star, common).core_vertices for _, star in padded.levels[fam]]
+        for fam in range(kappa)
+    ]
 
     pushed = [
         push_star(StarSet(space, level, frozenset([v])), common).core_vertices
@@ -234,8 +218,8 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     for i in range(nv):
         for fam in range(kappa):
             mask = 0
-            for j, sh in enumerate(shrunk_sets[fam]):
-                if pushed[i] <= sh:
+            for j, core in enumerate(cores[fam]):
+                if pushed[i] <= core:
                     mask |= 1 << j
             pv[i][fam] = mask
 
@@ -243,18 +227,13 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     # that symmetry (a class member may only be opened after every earlier
     # member of its class) preserves satisfiability.
     signatures = [
-        tuple(sorted(tuple(sorted(vlabel(v) for v in sh)) for sh in row))
-        for row in shrunk_sets
+        tuple(sorted(tuple(sorted(vlabel(v) for v in core)) for core in row))
+        for row in cores
     ]
     earlier_twins = [
         [g for g in range(fam) if signatures[g] == signatures[fam]]
         for fam in range(kappa)
     ]
-
-    label_rank = sorted(range(nv), key=lambda i: vlabel(verts[i]))
-    rank_of = [0] * nv
-    for r, i in enumerate(label_rank):
-        rank_of[i] = r
 
     family_of = [-1] * nv
     comp_root = [-1] * nv
@@ -311,11 +290,7 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
             if not options:
                 counters["prunes"] += 1
                 return False
-            if (
-                best is None
-                or len(options) < len(best_options)
-                or (len(options) == len(best_options) and rank_of[i] < rank_of[best])
-            ):
+            if best is None or len(options) < len(best_options):
                 best, best_options = i, options
         i = best
         for fam in best_options:

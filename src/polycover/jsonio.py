@@ -22,7 +22,7 @@ from .complexes import (
 )
 from .covers import CoverSequence, IndexedNerve, cover_sequence
 from .dimension import CRefinement, MuReport, RefinementReport, SearchResult
-from .errors import SchemaError
+from .errors import PolycoverError, SchemaError
 from .realization import (
     BarycentricPoint,
     PolyhedralSpace,
@@ -202,7 +202,7 @@ def cover_from_json(data, path: str = "$") -> CoverSequence:
         levels.append(family)
     try:
         return cover_sequence(space, levels)
-    except Exception as err:
+    except (PolycoverError, ValueError) as err:
         raise SchemaError(f"{path}.levels", str(err)) from None
 
 
@@ -384,7 +384,7 @@ def tables_from_json(
         tables.append(table)
     try:
         return carrier_tables(space, level, target, tables, witness)
-    except Exception as err:
+    except (PolycoverError, ValueError) as err:
         raise SchemaError(f"{path}.tables", str(err)) from None
 
 

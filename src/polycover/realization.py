@@ -6,6 +6,11 @@ exactly.  Open subsets of the ground space are represented only as
 star-sets: unions of open vertex stars at a fixed subdivision level.
 Comparisons across levels re-express the coarser object at the finer
 level, never the reverse.
+
+At one level, a star-set contains the open star of a vertex v exactly when
+v is in its core, because {v} is itself a simplex of the stage.  So
+containment and equality of star-sets are containment and equality of
+their cores; only disjointness needs a look at the stage.
 """
 
 from __future__ import annotations
@@ -235,34 +240,43 @@ class StarRelation(Enum):
 def star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
     """Exact point-set relation between two star-sets.
 
-    Decided at a common level: the relative interiors of the simplices of
-    the stage complex partition |K|, and a star-set is the union of the
-    interiors of the simplices meeting its core.
+    Decided at a common level, where a star-set is the union of the
+    interiors of the simplices meeting its core.  Equality and containment
+    follow from the cores alone (see the module docstring).  Otherwise
+    each side has points outside the other, and the two overlap iff some
+    stage simplex meets both cores.
     """
     if s1.space != s2.space:
         raise ValueError("star-sets live on different spaces")
     level = max(s1.level, s2.level)
-    a = push_star(s1, level)
-    b = push_star(s2, level)
-    both = only_a = only_b = False
-    for s in s1.space.stage_complex(level).simplices:
-        in_a = bool(s & a.core_vertices)
-        in_b = bool(s & b.core_vertices)
-        if in_a and in_b:
-            both = True
-        elif in_a:
-            only_a = True
-        elif in_b:
-            only_b = True
-    if not both:
-        return StarRelation.DISJOINT
-    if not only_a and not only_b:
+    a = push_star(s1, level).core_vertices
+    b = push_star(s2, level).core_vertices
+    if a == b:
         return StarRelation.EQUAL
-    if not only_a:
+    if a <= b:
         return StarRelation.S1_SUBSET_S2
-    if not only_b:
+    if b <= a:
         return StarRelation.S2_SUBSET_S1
-    return StarRelation.OVERLAPPING
+    if any(s & a and s & b for s in s1.space.stage_complex(level).simplices):
+        return StarRelation.OVERLAPPING
+    return StarRelation.DISJOINT
+
+
+def _least_overlap(stage: SimplicialComplex, cores: list) -> tuple | None:
+    """The least pair (i, j), i < j, of overlapping star-sets with these
+    cores at this stage, or None when they are pairwise disjoint.
+
+    Two star-sets overlap iff some stage simplex meets both cores; the
+    pass over the stage stops early once it finds (0, 1).
+    """
+    least = None
+    for s in stage.simplices:
+        met = [i for i, core in enumerate(cores) if s & core]
+        if len(met) > 1 and (least is None or tuple(met[:2]) < least):
+            least = tuple(met[:2])
+            if least == (0, 1):
+                break
+    return least
 
 
 def star_subset(s1: StarSet, s2: StarSet) -> bool:

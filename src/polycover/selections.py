@@ -52,7 +52,7 @@ from .errors import (
     UnknownCoverElement,
     WitnessFailure,
 )
-from .realization import PolyhedralSpace, StarSet, StarRelation, push_star, star_relation
+from .realization import PolyhedralSpace, StarSet, _least_overlap, push_star
 
 DEFAULT_MAX_LEVEL = 8
 
@@ -72,16 +72,6 @@ def _pushed_cores(cs: CoverSequence, kappa: int, level: int) -> dict:
     for eid, n, star in cs.elements(kappa):
         out[(eid, n)] = push_star(star, level).core_vertices
     return out
-
-
-def _shrunk(complex: SimplicialComplex, core: frozenset) -> frozenset:
-    """Vertices whose whole open star lies inside the star-set with this core:
-    the complement of the union of core-missing simplices."""
-    outside = set()
-    for s in complex.simplices:
-        if not (s & core):
-            outside.update(s)
-    return complex.vertices - frozenset(outside)
 
 
 def _stage_of_map(f: CanonicalMap, cs: CoverSequence) -> SimplicialComplex:
@@ -118,12 +108,11 @@ def why_not_canonical(
 ) -> dict | None:
     """None when canonical, else a witness locating the first violation."""
     kappa = _check_kappa(cs, kappa)
-    stage = _stage_of_map(f, cs)
+    _stage_of_map(f, cs)
     cores = _pushed_cores(cs, kappa, f.subdivision_level)
     fibers = _fibers(f, cs, kappa)
     for element in sorted(fibers, key=lambda e: (e[1], e[0])):
-        allowed = _shrunk(stage, cores[element])
-        stray = fibers[element] - allowed
+        stray = fibers[element] - cores[element]
         if stray:
             v = sorted(stray, key=vlabel)[0]
             return {
@@ -163,16 +152,16 @@ def why_not_selection(
 
 
 def _check_disjoint_levels(cs: CoverSequence, kappa: int) -> None:
+    stage = cs.working_complex()
     for n in range(kappa):
         family = cs.levels[n]
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                rel = star_relation(family[i][1], family[j][1])
-                if rel is not StarRelation.DISJOINT:
-                    raise DisjointnessRequired(
-                        f"elements {family[i][0]!r} and {family[j][0]!r} at level "
-                        f"{n} are not disjoint"
-                    )
+        pair = _least_overlap(stage, [star.core_vertices for _, star in family])
+        if pair is not None:
+            i, j = pair
+            raise DisjointnessRequired(
+                f"elements {family[i][0]!r} and {family[j][0]!r} at level "
+                f"{n} are not disjoint"
+            )
 
 
 def build_canonical(
@@ -181,18 +170,23 @@ def build_canonical(
     target_kind: str = DELTA,
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> CanonicalMap:
-    """Construct a canonical map by subdividing until every vertex star fits
-    inside some element, then assigning each vertex the smallest such
-    (level, id) element.
+    """Construct a canonical map on the working stage by assigning each
+    vertex the smallest (level, id) element whose core contains it.
+
+    The working stage is already fine enough: a vertex star lies inside an
+    element exactly when the vertex is in the element's core, and the
+    prefix covers every working vertex.  `max_level` below the working
+    level raises LevelBudgetExceeded.
 
     For a one-per-level target the prefix must be pairwise-disjoint per
     level; the assignment map then lands in the subcomplex automatically.
     """
     kappa = _check_kappa(cs, kappa)
+    stage = cs.working_complex()
     covered = set()
     for _, _, star in cs.elements(kappa):
         covered.update(star.core_vertices)
-    if not cs.working_complex().vertices <= covered:
+    if not stage.vertices <= covered:
         raise NoCoverage(f"the first {kappa} levels do not cover the space")
     if target_kind == DELTA:
         _check_disjoint_levels(cs, kappa)
@@ -200,24 +194,20 @@ def build_canonical(
     else:
         target = nerve(cs, kappa)
 
+    if max_level < cs.working_level:
+        raise LevelBudgetExceeded(
+            f"no canonical assignment up to subdivision level {max_level}"
+        )
     order = sorted(
-        ((eid, n) for eid, n, _ in cs.elements(kappa)), key=lambda e: (e[1], e[0])
+        ((eid, n, star.core_vertices) for eid, n, star in cs.elements(kappa)),
+        key=lambda e: (e[1], e[0]),
     )
-    for level in range(cs.working_level, max_level + 1):
-        stage = cs.space.stage_complex(level)
-        cores = _pushed_cores(cs, kappa, level)
-        shrunk = {element: _shrunk(stage, cores[element]) for element in order}
-        images = {}
-        for v in stage.vertices:
-            chosen = next((e for e in order if v in shrunk[e]), None)
-            if chosen is None:
-                images = None
-                break
-            images[v] = chosen
-        if images is not None:
-            return CanonicalMap(level, SimplicialMap(stage, target.complex, images), target)
-    raise LevelBudgetExceeded(
-        f"no canonical assignment up to subdivision level {max_level}"
+    images = {
+        v: next((eid, n) for eid, n, core in order if v in core)
+        for v in stage.vertices
+    }
+    return CanonicalMap(
+        cs.working_level, SimplicialMap(stage, target.complex, images), target
     )
 
 

@@ -12,8 +12,11 @@ from fractions import Fraction
 
 from polycover import (
     PolyhedralSpace,
+    StarRelation,
     StarSet,
     cover_sequence,
+    pad_levels,
+    push_star,
     stage_point,
     vlabel,
 )
@@ -172,3 +175,70 @@ def random_cover(space: PolyhedralSpace, rng, level: int, num_levels: int,
             family = [(f"E{n}.0", StarSet(space, level, frozenset({rng.choice(verts)})))]
         families.append(family)
     return cover_sequence(space, families)
+
+
+# -- stage-sweep oracles ------------------------------------------------------
+# The library decides star-set relations from cores alone; these decide them
+# by classifying every simplex of the common stage, as the first versions of
+# the library did.
+
+
+def sweep_star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
+    """Relation of two star-sets from which stage simplices meet which core:
+    a star-set is the union of the interiors of the simplices meeting it."""
+    level = max(s1.level, s2.level)
+    a = push_star(s1, level).core_vertices
+    b = push_star(s2, level).core_vertices
+    both = only_a = only_b = False
+    for s in s1.space.stage_complex(level).simplices:
+        in_a = bool(s & a)
+        in_b = bool(s & b)
+        if in_a and in_b:
+            both = True
+        elif in_a:
+            only_a = True
+        elif in_b:
+            only_b = True
+    if not both:
+        return StarRelation.DISJOINT
+    if not only_a and not only_b:
+        return StarRelation.EQUAL
+    if not only_a:
+        return StarRelation.S1_SUBSET_S2
+    if not only_b:
+        return StarRelation.S2_SUBSET_S1
+    return StarRelation.OVERLAPPING
+
+
+def sweep_shrunk(complex, core: frozenset) -> frozenset:
+    """Vertices whose whole open star lies inside the star-set with this core:
+    the complement of the union of the core-missing simplices."""
+    outside = set()
+    for s in complex.simplices:
+        if not (s & core):
+            outside.update(s)
+    return complex.vertices - frozenset(outside)
+
+
+def sweep_fine_enough(cs, families: int, level: int) -> bool:
+    """True iff every vertex star of the stage fits inside some element of
+    each of the first `families` levels (padded by repeating the last)."""
+    stage = cs.space.stage_complex(level)
+    padded = pad_levels(cs, families)
+    for k in range(families):
+        fitting: set = set()
+        for _, star in padded.levels[k]:
+            fitting.update(sweep_shrunk(stage, push_star(star, level).core_vertices))
+        if not stage.vertices <= fitting:
+            return False
+    return True
+
+
+def sweep_least_overlap(stars: list):
+    """The first pair (i, j) in lexicographic order whose star-sets are not
+    disjoint, comparing every pair with `sweep_star_relation`; None if the
+    star-sets are pairwise disjoint."""
+    for i, j in itertools.combinations(range(len(stars)), 2):
+        if sweep_star_relation(stars[i], stars[j]) is not StarRelation.DISJOINT:
+            return (i, j)
+    return None

@@ -1,0 +1,260 @@
+"""Golden outputs of every CLI command on fixed fixture inputs.
+
+Each case runs `polycover.cli.main` in-process on the documents under
+`tests/golden/inputs`.  Its stdout must equal `tests/golden/<case>.stdout`
+byte for byte, and its exit code and stderr must equal the entry for the
+case in `tests/golden/expected.json`.  Every JSON output that has a schema,
+and every input document, must also conform to the bundled `schemas/`.
+
+After an intended output change, regenerate the expected files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from polycover.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+SCHEMAS = Path(__file__).parent.parent / "schemas"
+
+# case name -> (argv with paths relative to INPUTS, schema of the JSON stdout)
+CASES = {
+    "complex": (["complex", "tri.complex.json"], "complex"),
+    "complex-dot": (["complex", "boundary.complex.json", "--format", "dot"], None),
+    "nerve": (["nerve", "--cover", "rem.cover.json", "--kappa", "2"], "nerve"),
+    "nerve-dot": (["nerve", "--cover", "rem.cover.json", "--format", "dot"], None),
+    "delta": (["delta", "--cover", "rem.cover.json", "--kappa", "3"], "nerve"),
+    "delta-dot": (
+        ["delta", "--cover", "rem.cover.json", "--kappa", "2", "--format", "dot"],
+        None,
+    ),
+    "delta-unindexed": (
+        ["delta", "--cover", "rem.cover.json", "--kappa", "2", "--unindexed"],
+        None,
+    ),
+    "canonical-delta": (["canonical", "--cover", "tri1.cover.json"], "canonical_map"),
+    "canonical-delta-edge": (
+        ["canonical", "--cover", "fine.cover.json", "--kappa", "2"],
+        "canonical_map",
+    ),
+    "canonical-nerve": (
+        ["canonical", "--cover", "rem.cover.json", "--kappa", "2", "--target", "nerve"],
+        "canonical_map",
+    ),
+    "canonical-nerve-tri": (
+        ["canonical", "--cover", "tri3.cover.json", "--target", "nerve"],
+        "canonical_map",
+    ),
+    "canonical-not-disjoint": (["canonical", "--cover", "clash.cover.json"], None),
+    "canonical-not-disjoint-rem": (
+        ["canonical", "--cover", "rem.cover.json", "--kappa", "2"],
+        None,
+    ),
+    "canonical-max-level": (
+        ["canonical", "--cover", "rem.cover.json", "--target", "nerve", "--max-level", "0"],
+        None,
+    ),
+    "selection-ok": (
+        ["selection", "--cover", "rem.cover.json", "--kappa", "2", "--map", "rem.nerve.map.json"],
+        "predicate_result",
+    ),
+    "selection-bad": (
+        ["selection", "--cover", "rem.cover.json", "--kappa", "2", "--map", "bad.map.json"],
+        "predicate_result",
+    ),
+    "selection-skeletal": (
+        [
+            "selection",
+            "--cover",
+            "skeletal.cover.json",
+            "--map",
+            "skeletal.map.json",
+            "--predicate",
+            "skeletal",
+            "--tables",
+            "skeletal.tables.json",
+        ],
+        "predicate_result",
+    ),
+    "construct": (
+        ["crefine", "construct", "--cover", "tri3.cover.json", "--n", "2"],
+        "refinement",
+    ),
+    "construct-edge": (
+        ["crefine", "construct", "--cover", "rem.cover.json", "--n", "1"],
+        "refinement",
+    ),
+    "construct-max-level-equal": (
+        ["crefine", "construct", "--cover", "rem.cover.json", "--n", "1", "--max-level", "1"],
+        None,
+    ),
+    "construct-max-level-below": (
+        ["crefine", "construct", "--cover", "rem.cover.json", "--n", "1", "--max-level", "0"],
+        None,
+    ),
+    "search-found": (
+        ["crefine", "search", "--cover", "tri3.cover.json", "--kappa", "3", "--max-level", "1"],
+        "search_result",
+    ),
+    "search-found-level-1": (
+        ["crefine", "search", "--cover", "tri1.cover.json", "--kappa", "2", "--max-level", "2"],
+        "search_result",
+    ),
+    "search-exhausted": (
+        ["crefine", "search", "--cover", "tri2.cover.json", "--kappa", "2", "--max-level", "1"],
+        "search_result",
+    ),
+    "verify-ok": (
+        ["crefine", "verify", "--cover", "tri3.cover.json", "--refinement", "tri3.refinement.json"],
+        "predicate_result",
+    ),
+    "verify-not-a-refinement": (
+        [
+            "crefine",
+            "verify",
+            "--cover",
+            "tri2.cover.json",
+            "--refinement",
+            "not_a_refinement.refinement.json",
+        ],
+        "predicate_result",
+    ),
+    "verify-uncovered": (
+        ["crefine", "verify", "--cover", "tri2.cover.json", "--refinement", "uncovered.refinement.json"],
+        "predicate_result",
+    ),
+    "extract": (
+        [
+            "crefine",
+            "extract",
+            "--cover",
+            "fine.cover.json",
+            "--kappa",
+            "2",
+            "--map",
+            "fine.delta.map.json",
+        ],
+        "refinement",
+    ),
+    "dim": (["dim", "tri.complex.json"], None),
+    "cone-extend": (["cone-extend", "cone.json"], None),
+    "cone-extend-witness-failure": (
+        ["cone-extend", "cone_witness_failure.json"],
+        "predicate_result",
+    ),
+    "mu-driver": (["mu-driver", "--mode", "dim:2", "tri3.cover.json"], "mu_report"),
+    "mu-driver-edge": (["mu-driver", "--mode", "dim:1", "rem.cover.json"], "mu_report"),
+    "mu-driver-exhausted": (
+        ["mu-driver", "--mode", "dim:1", "--max-level", "1", "tri2.cover.json"],
+        "mu_report",
+    ),
+    "selftest": (["selftest"], None),
+}
+
+# input document -> schema it conforms to (the skeletal map has none)
+INPUT_SCHEMAS = {
+    "bad.map.json": "canonical_map",
+    "boundary.complex.json": "complex",
+    "clash.cover.json": "cover_sequence",
+    "cone.json": "cone_extend_input",
+    "cone_witness_failure.json": "cone_extend_input",
+    "fine.cover.json": "cover_sequence",
+    "fine.delta.map.json": "canonical_map",
+    "not_a_refinement.refinement.json": "refinement",
+    "overlap.refinement.json": "refinement",
+    "rem.cover.json": "cover_sequence",
+    "rem.nerve.map.json": "canonical_map",
+    "skeletal.cover.json": "cover_sequence",
+    "skeletal.map.json": None,
+    "skeletal.tables.json": "carrier_tables",
+    "tri.complex.json": "complex",
+    "tri1.cover.json": "cover_sequence",
+    "tri2.cover.json": "cover_sequence",
+    "tri3.cover.json": "cover_sequence",
+    "tri3.refinement.json": "refinement",
+    "uncovered.refinement.json": "refinement",
+}
+
+
+def run_case(argv: list) -> tuple:
+    """Exit code, stdout and stderr of one in-process CLI call on INPUTS."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(INPUTS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(here)
+    return code, out.getvalue(), err.getvalue()
+
+
+def load_expected() -> dict:
+    return json.loads((GOLDEN / "expected.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def validators():
+    jsonschema = pytest.importorskip("jsonschema")
+    referencing = pytest.importorskip("referencing")
+    docs = {
+        p.name.removesuffix(".schema.json"): json.loads(p.read_text(encoding="utf-8"))
+        for p in sorted(SCHEMAS.glob("*.schema.json"))
+    }
+    registry = referencing.Registry().with_resources(
+        (d["$id"], referencing.Resource.from_contents(d)) for d in docs.values()
+    )
+    return {
+        name: jsonschema.Draft202012Validator(d, registry=registry)
+        for name, d in docs.items()
+    }
+
+
+def schema_errors(validator, instance) -> list:
+    return [f"{e.json_path}: {e.message}" for e in validator.iter_errors(instance)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, validators):
+    argv, schema = CASES[name]
+    code, out, err = run_case(argv)
+    expected = load_expected()[name]
+    stdout = (GOLDEN / f"{name}.stdout").read_bytes()
+    assert (code, err) == (expected["exit"], expected["stderr"])
+    assert out.encode("utf-8") == stdout
+    if schema is not None:
+        assert schema_errors(validators[schema], json.loads(out)) == []
+
+
+def test_golden_inputs_conform_to_schemas(validators):
+    assert sorted(INPUT_SCHEMAS) == sorted(p.name for p in INPUTS.glob("*.json"))
+    for name, schema in INPUT_SCHEMAS.items():
+        if schema is not None:
+            doc = json.loads((INPUTS / name).read_text(encoding="utf-8"))
+            assert schema_errors(validators[schema], doc) == [], name
+
+
+def record() -> None:
+    """Rewrite every expected file from the current code."""
+    expected = {}
+    for name in sorted(CASES):
+        code, out, err = run_case(CASES[name][0])
+        (GOLDEN / f"{name}.stdout").write_bytes(out.encode("utf-8"))
+        expected[name] = {"exit": code, "stderr": err}
+    (GOLDEN / "expected.json").write_text(
+        json.dumps(expected, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    record()

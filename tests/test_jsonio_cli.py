@@ -1,8 +1,14 @@
 """Serialization round trips, schema validation, and CLI behaviour."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import polycover
 
 from polycover import (
     build_canonical,
@@ -120,6 +126,21 @@ class TestSchemaErrors:
             jsonio.cover_from_json({"space": {"maximal_simplices": [["a"]]}})
         assert "working_level" in err.value.path
 
+    def test_internal_errors_are_not_schema_errors(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal bug")
+
+        monkeypatch.setattr(jsonio, "cover_sequence", broken)
+        monkeypatch.setattr(jsonio, "carrier_tables", broken)
+        with pytest.raises(RuntimeError, match="internal bug"):
+            jsonio.cover_from_json(jsonio.cover_to_json(rem_cover()))
+        e = edge_space()
+        target = coned(validate_complex([{"t:a", "t:b"}]), "z")
+        table = {tau: target for tau in e.stage_complex(0).simplices}
+        doc = jsonio.tables_to_json(carrier_tables(e, 0, target, [table]))
+        with pytest.raises(RuntimeError, match="internal bug"):
+            jsonio.tables_from_json(e, doc)
+
 
 @pytest.fixture()
 def cover_file(tmp_path):
@@ -226,6 +247,33 @@ class TestCli:
         assert code == 3
         assert out["status"] == "exhausted"
         assert len(out["audits"]) == 2
+
+    def test_overlap_witness_ignores_hash_seed(self):
+        # The witness is the least overlapping pair in family order: a, b and
+        # c each overlap X and are pairwise disjoint, so the pair is (a, X).
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        argv = [
+            sys.executable,
+            "-m",
+            "polycover.cli",
+            "crefine",
+            "verify",
+            "--cover",
+            str(inputs / "tri3.cover.json"),
+            "--refinement",
+            str(inputs / "overlap.refinement.json"),
+        ]
+        src = str(Path(polycover.__file__).resolve().parent.parent)
+        runs = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            runs.add((done.returncode, done.stdout, done.stderr))
+        assert len(runs) == 1
+        code, out, err = runs.pop()
+        assert (code, err) == (1, "")
+        assert json.loads(out)["witness"] == {"level": 0, "elements": ["a", "X"]}
 
     def test_crefine_construct_verify_pipeline(self, tri_cover_file, tmp_path, capsys):
         assert main(

@@ -1,5 +1,6 @@
 """Exact points, carriers, star membership, pushdown, and affine maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,12 @@ from polycover import (
     BarycentricPoint,
     SimplicialMap,
     StarRelation,
+    StarSet,
+    build_canonical,
     carrier,
     compose_maps,
     full_star,
+    ostrand_refine,
     push_point,
     push_star,
     realize_map,
@@ -18,13 +22,28 @@ from polycover import (
     star_contains,
     star_relation,
     star_set,
+    star_subset,
     validate_complex,
 )
 from polycover.complexes import vlabel
-from polycover.errors import CannotCoarsen, InvalidPoint, LevelMismatch
-from polycover.fixtures import edge_space, rem_cover, tri_space
+from polycover.errors import (
+    CannotCoarsen,
+    DisjointnessRequired,
+    InvalidPoint,
+    LevelMismatch,
+)
+from polycover.fixtures import boundary_space, edge_space, rem_cover, tri_space
+from polycover.realization import _least_overlap
 
-from helpers import grid_points, interior_points
+from helpers import (
+    grid_points,
+    interior_points,
+    random_cover,
+    sweep_fine_enough,
+    sweep_least_overlap,
+    sweep_shrunk,
+    sweep_star_relation,
+)
 
 
 def fs(*vs):
@@ -214,6 +233,65 @@ class TestStarRelation:
                     assert in2 < in1
                 else:
                     assert in1 & in2 and in1 - in2 and in2 - in1
+
+
+def _random_star(space, rng, level: int, most: int = 4) -> StarSet:
+    verts = sorted(space.stage_complex(level).vertices, key=vlabel)
+    core = rng.sample(verts, rng.randint(1, min(most, len(verts))))
+    return StarSet(space, level, frozenset(core))
+
+
+def _related_star(s: StarSet, rng, level: int) -> StarSet:
+    """A star-set at `level` whose core is s's pushed core with a few
+    vertices added or dropped, so containment and equality come up often."""
+    core = set(push_star(s, level).core_vertices)
+    verts = sorted(s.space.stage_complex(level).vertices, key=vlabel)
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.5:
+            core.add(rng.choice(verts))
+        elif len(core) > 1:
+            core.discard(rng.choice(sorted(core, key=vlabel)))
+    return StarSet(s.space, level, frozenset(core))
+
+
+def test_core_rule_matches_stage_sweep_oracles():
+    rng = random.Random(20261018)
+    spaces = [edge_space(), boundary_space(), tri_space()]
+    relations = set()
+    for _ in range(150):
+        space = rng.choice(spaces)
+        l1, l2 = sorted((rng.randint(0, 3), rng.randint(0, 3)))
+        s1 = _random_star(space, rng, l1)
+        s2 = _related_star(s1, rng, l2) if rng.random() < 0.5 else _random_star(space, rng, l2)
+        if rng.random() < 0.5:
+            s1, s2 = s2, s1
+        rel = sweep_star_relation(s1, s2)
+        relations.add(rel)
+        assert star_relation(s1, s2) is rel
+        assert star_subset(s1, s2) == (rel in (StarRelation.S1_SUBSET_S2, StarRelation.EQUAL))
+        stage = space.stage_complex(l2)
+        core = push_star(s1, l2).core_vertices
+        assert sweep_shrunk(stage, core) == core
+
+        family = [_random_star(space, rng, l2, 2) for _ in range(rng.randint(2, 5))]
+        expected = sweep_least_overlap(family)
+        cores = [star.core_vertices for star in family]
+        assert _least_overlap(stage, cores) == expected
+    assert relations == set(StarRelation)
+
+    for _ in range(12):
+        space = rng.choice(spaces)
+        level = rng.randint(0, 3)
+        cs = random_cover(space, rng, level, 2, per_level_cover=True)
+        assert sweep_fine_enough(cs, 3, level)
+        r = ostrand_refine(cs, 2)
+        assert {star.level for family in r.families for _, star in family} == {level + 1}
+        assert build_canonical(cs, target_kind="nerve").subdivision_level == level
+        pair = sweep_least_overlap([star for _, star in cs.levels[0]])
+        if pair is not None:
+            ids = [cs.levels[0][k][0] for k in pair]
+            with pytest.raises(DisjointnessRequired, match=f"'{ids[0]}' and '{ids[1]}' at level 0"):
+                build_canonical(cs)
 
 
 class TestRealizeMap:
