@@ -21,7 +21,6 @@ from .dimension import (
     omega,
     omega_plus_one,
     ostrand_refine,
-    refinement_as_cover,
     search_c_refinement,
     verify_c_refinement,
 )
@@ -298,7 +297,7 @@ def _cmd_mu_driver(args) -> int:
     _emit(jsonio.dumps(jsonio.mu_report_to_json(report)), args.out)
     if report.success:
         return 0
-    return 3 if "exhausted" in (report.failure or "") else 1
+    return 3 if report.search_status == "exhausted" else 1
 
 
 def _cmd_selftest(args) -> int:

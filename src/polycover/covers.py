@@ -33,7 +33,7 @@ from .errors import (
     UnknownCarrier,
     UnknownCoverElement,
 )
-from .realization import PolyhedralSpace, StarSet, push_star, star_subset
+from .realization import PolyhedralSpace, push_star, star_subset
 
 FULL_NERVE = "full_nerve"
 DELTA = "delta"

@@ -188,6 +188,23 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     whose per-family adjacency components each fit inside one source
     element, and conversely every such assignment yields a valid
     refinement with the components as elements.
+
+    Domains are forward-checked (Haralick & Elliott 1980) and never
+    re-derived.  At every node, for each unassigned vertex i and family
+    fam, `dom[fam][i]` is the mask of level-fam source elements that could
+    still hold the component i would join in fam: those whose core holds
+    i's pushed star, ANDed with the possible elements of every fam
+    component adjacent to i.  `live[fam] & unassigned` is the set of
+    unassigned vertices whose `dom[fam]` is nonzero (bits of assigned
+    vertices are left in `live`; they are masked off, not cleared).
+    Assigning i to fam merges i with its adjacent fam components into one
+    whose possible elements are P = `dom[fam][i]`, and ANDs P into
+    `dom[fam][j]` for the unassigned neighbours j of that component only;
+    a per-branch trail undoes it.  A vertex in no live mask kills the
+    branch, and the branching vertex is the one in the fewest live masks,
+    ties going to the lowest index.  Components are undoable union-find
+    trees: merging points the old roots at i, backtracking points them
+    back at themselves.
     """
     space = cs.space
     common = max(level, cs.working_level)
@@ -214,14 +231,17 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
         push_star(StarSet(space, level, frozenset([v])), common).core_vertices
         for v in verts
     ]
-    pv = [[0] * kappa for _ in range(nv)]
-    for i in range(nv):
-        for fam in range(kappa):
+    dom = [[0] * nv for _ in range(kappa)]
+    live = [0] * kappa
+    for fam in range(kappa):
+        for i in range(nv):
             mask = 0
             for j, core in enumerate(cores[fam]):
                 if pushed[i] <= core:
                     mask |= 1 << j
-            pv[i][fam] = mask
+            dom[fam][i] = mask
+            if mask:
+                live[fam] |= 1 << i
 
     # Families whose element point sets agree are interchangeable; breaking
     # that symmetry (a class member may only be opened after every earlier
@@ -235,38 +255,23 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
         for fam in range(kappa)
     ]
 
-    family_of = [-1] * nv
-    comp_root = [-1] * nv
-    comp_mask: dict = {}
-    comp_poss: dict = {}
+    parent = list(range(nv))
+    comp = [None] * nv  # root -> (member mask, neighbour mask)
     assigned = [0] * kappa
-    counters = {"nodes": 0, "prunes": 0}
+    nodes = prunes = 0
     solution: list = []
-
-    def narrowed(i: int, fam: int) -> int:
-        """Possible elements for i's would-be component in family fam."""
-        poss = pv[i][fam]
-        if poss == 0:
-            return 0
-        rest = adj[i] & assigned[fam]
-        while rest and poss:
-            bit = rest & (-rest)
-            rest ^= bit
-            root = comp_root[bit.bit_length() - 1]
-            poss &= comp_poss[root]
-            rest &= ~comp_mask[root]
-        return poss
 
     def extract_solution():
         families = []
         for fam in range(kappa):
-            roots = sorted(
-                {comp_root[i] for i in range(nv) if family_of[i] == fam}
-            )
+            roots = [
+                root for root in range(nv)
+                if assigned[fam] >> root & 1 and parent[root] == root
+            ]
             row = []
             for root in roots:
                 members = frozenset(
-                    verts[i] for i in range(nv) if comp_mask[root] >> i & 1
+                    verts[i] for i in range(nv) if comp[root][0] >> i & 1
                 )
                 eid = min((vlabel(v) for v in members))
                 row.append((eid, StarSet(space, level, members)))
@@ -274,72 +279,77 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
         solution.append(tuple(families))
 
     def dfs(unassigned: int) -> bool:
+        nonlocal nodes, prunes
         if unassigned == 0:
             extract_solution()
             return True
-        # Most-constrained vertex first; a vertex with no viable family
-        # kills the whole branch.
-        best = None
-        best_options: list = []
-        rest = unassigned
-        while rest:
-            bit = rest & (-rest)
-            rest ^= bit
-            i = bit.bit_length() - 1
-            options = [fam for fam in range(kappa) if narrowed(i, fam)]
-            if not options:
-                counters["prunes"] += 1
-                return False
-            if best is None or len(options) < len(best_options):
-                best, best_options = i, options
-        i = best
-        for fam in best_options:
+        # at_least[c]: unassigned vertices viable in at least c families.
+        at_least = [unassigned] + [0] * (kappa + 1)
+        for mask in live:
+            for c in range(kappa, 0, -1):
+                at_least[c] |= at_least[c - 1] & mask
+        if unassigned != at_least[1]:
+            prunes += 1
+            return False
+        for c in range(1, kappa + 1):
+            fewest = at_least[c] & ~at_least[c + 1]
+            if fewest:
+                break
+        bit = fewest & (-fewest)
+        i = bit.bit_length() - 1
+        for fam in range(kappa):
+            if not live[fam] & bit:
+                continue
             if assigned[fam] == 0 and any(
                 assigned[g] == 0 for g in earlier_twins[fam]
             ):
                 continue
-            counters["nodes"] += 1
-            roots = set()
+            nodes += 1
+            poss = dom[fam][i]
+            mask = bit
+            nbrs = adj[i]
+            merged = []
             rest = adj[i] & assigned[fam]
             while rest:
-                bit = rest & (-rest)
-                rest ^= bit
-                roots.add(comp_root[bit.bit_length() - 1])
-            poss = pv[i][fam]
-            mask = 1 << i
-            for root in roots:
-                poss &= comp_poss[root]
-                mask |= comp_mask[root]
-            if poss == 0:
-                counters["prunes"] += 1
-                continue
-            saved = [(root, comp_mask.pop(root), comp_poss.pop(root)) for root in roots]
-            saved_roots = []
-            bits = mask
-            while bits:
-                bit = bits & (-bits)
-                bits ^= bit
-                j = bit.bit_length() - 1
-                saved_roots.append((j, comp_root[j]))
-                comp_root[j] = i
-            comp_mask[i] = mask
-            comp_poss[i] = poss
-            family_of[i] = fam
-            assigned[fam] |= 1 << i
-            if dfs(unassigned ^ (1 << i)):
+                root = (rest & (-rest)).bit_length() - 1
+                while parent[root] != root:
+                    root = parent[root]
+                members, around = comp[root]
+                merged.append(root)
+                parent[root] = i
+                rest &= ~members
+                mask |= members
+                nbrs |= around
+            comp[i] = (mask, nbrs)
+            assigned[fam] |= bit
+            rest_unassigned = unassigned ^ bit
+            fam_live = live[fam]
+            row = dom[fam]
+            trail = []
+            rest = nbrs & fam_live & rest_unassigned
+            while rest:
+                low = rest & (-rest)
+                rest ^= low
+                j = low.bit_length() - 1
+                old = row[j]
+                new = old & poss
+                if new != old:
+                    trail.append((j, old))
+                    row[j] = new
+                    if not new:
+                        live[fam] ^= low
+            if dfs(rest_unassigned):
                 return True
-            assigned[fam] ^= 1 << i
-            family_of[i] = -1
-            del comp_mask[i], comp_poss[i]
-            for j, old in saved_roots:
-                comp_root[j] = old
-            for root, m, p in saved:
-                comp_mask[root] = m
-                comp_poss[root] = p
+            for j, old in trail:
+                row[j] = old
+            live[fam] = fam_live
+            assigned[fam] ^= bit
+            for root in merged:
+                parent[root] = root
         return False
 
     found = dfs((1 << nv) - 1)
-    audit = SearchAudit(level, counters["nodes"], counters["prunes"], found)
+    audit = SearchAudit(level, nodes, prunes, found)
     if not found:
         return None, audit
     return CRefinement(solution[0], kappa, cs), audit
@@ -406,6 +416,8 @@ class MuReport:
     roundtrip_ok: bool = False
     roundtrip_family_sizes: tuple = ()
     search_audits: tuple = ()
+    # "found" | "exhausted" when the refinement was searched for, else None.
+    search_status: str | None = None
 
 
 def mu_driver(
@@ -429,6 +441,7 @@ def mu_driver(
     refinement = None
     method = None
     audits: tuple = ()
+    status = None
     try:
         if kappa > d and all(level_covers(padded, k) for k in range(kappa)):
             method = "constructor"
@@ -437,7 +450,8 @@ def mu_driver(
             method = "search"
             result = search_c_refinement(cs, kappa, max_level)
             audits = result.audits
-            if result.status == "found":
+            status = result.status
+            if status == "found":
                 refinement = result.refinement
             else:
                 return MuReport(
@@ -445,6 +459,7 @@ def mu_driver(
                     failure=f"search exhausted at level {max_level}",
                     refinement_method=method,
                     search_audits=audits,
+                    search_status=status,
                     **base,
                 )
 
@@ -475,6 +490,7 @@ def mu_driver(
             roundtrip_ok=bool(roundtrip),
             roundtrip_family_sizes=tuple(len(f) for f in back.families),
             search_audits=audits,
+            search_status=status,
             **base,
         )
     except LevelBudgetExceeded as budget:
@@ -483,6 +499,7 @@ def mu_driver(
             failure=str(budget),
             refinement_method=method,
             search_audits=audits,
+            search_status=status,
             **base,
         )
         raise

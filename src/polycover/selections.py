@@ -25,7 +25,6 @@ from .complexes import (
     Simplex,
     cone,
     coned,
-    maximal_simplices,
     simplex_key,
     vlabel,
 )

@@ -15,7 +15,6 @@ from .complexes import (
     vlabel,
 )
 from .covers import (
-    DELTA,
     delta_at_carrier,
     delta_subcomplex,
     kernel_query,
@@ -36,7 +35,6 @@ from .dimension import (
 from .fixtures import (
     boundary_space,
     edge_space,
-    f_tri,
     rem_cover,
     tri_space,
     vertex_star_cover,

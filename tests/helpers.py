@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 
 from polycover import (
+    CRefinement,
     PolyhedralSpace,
     StarRelation,
     StarSet,
@@ -20,6 +21,7 @@ from polycover import (
     stage_point,
     vlabel,
 )
+from polycover.dimension import SearchAudit
 
 
 def brute_force_chain_count(simplices) -> dict:
@@ -242,3 +244,162 @@ def sweep_least_overlap(stars: list):
         if sweep_star_relation(stars[i], stars[j]) is not StarRelation.DISJOINT:
             return (i, j)
     return None
+
+
+# -- search oracle ------------------------------------------------------------
+# A search that re-derives, at every node, each unassigned vertex's viable
+# families from the assigned components around it (`narrowed`).  The library
+# keeps those domains current instead, and must walk exactly this tree.
+
+
+def reference_search_at_level(cs, kappa: int, level: int):
+    """(refinement or None, SearchAudit) of the exhaustive assignment search
+    at one subdivision level, recomputing every domain at every node."""
+    space = cs.space
+    common = max(level, cs.working_level)
+    stage = space.stage_complex(level)
+    verts = sorted(stage.vertices, key=vlabel)
+    index = {v: i for i, v in enumerate(verts)}
+    nv = len(verts)
+
+    adj = [0] * nv
+    for s in stage.simplices:
+        bits = 0
+        for v in s:
+            bits |= 1 << index[v]
+        for v in s:
+            adj[index[v]] |= bits
+
+    padded = pad_levels(cs, kappa)
+    cores = [
+        [push_star(star, common).core_vertices for _, star in padded.levels[fam]]
+        for fam in range(kappa)
+    ]
+
+    pushed = [
+        push_star(StarSet(space, level, frozenset([v])), common).core_vertices
+        for v in verts
+    ]
+    pv = [[0] * kappa for _ in range(nv)]
+    for i in range(nv):
+        for fam in range(kappa):
+            mask = 0
+            for j, core in enumerate(cores[fam]):
+                if pushed[i] <= core:
+                    mask |= 1 << j
+            pv[i][fam] = mask
+
+    signatures = [
+        tuple(sorted(tuple(sorted(vlabel(v) for v in core)) for core in row))
+        for row in cores
+    ]
+    earlier_twins = [
+        [g for g in range(fam) if signatures[g] == signatures[fam]]
+        for fam in range(kappa)
+    ]
+
+    family_of = [-1] * nv
+    comp_root = [-1] * nv
+    comp_mask: dict = {}
+    comp_poss: dict = {}
+    assigned = [0] * kappa
+    counters = {"nodes": 0, "prunes": 0}
+    solution: list = []
+
+    def narrowed(i: int, fam: int) -> int:
+        poss = pv[i][fam]
+        if poss == 0:
+            return 0
+        rest = adj[i] & assigned[fam]
+        while rest and poss:
+            bit = rest & (-rest)
+            rest ^= bit
+            root = comp_root[bit.bit_length() - 1]
+            poss &= comp_poss[root]
+            rest &= ~comp_mask[root]
+        return poss
+
+    def extract_solution():
+        families = []
+        for fam in range(kappa):
+            roots = sorted(
+                {comp_root[i] for i in range(nv) if family_of[i] == fam}
+            )
+            row = []
+            for root in roots:
+                members = frozenset(
+                    verts[i] for i in range(nv) if comp_mask[root] >> i & 1
+                )
+                eid = min((vlabel(v) for v in members))
+                row.append((eid, StarSet(space, level, members)))
+            families.append(tuple(sorted(row, key=lambda e: e[0])))
+        solution.append(tuple(families))
+
+    def dfs(unassigned: int) -> bool:
+        if unassigned == 0:
+            extract_solution()
+            return True
+        best = None
+        best_options: list = []
+        rest = unassigned
+        while rest:
+            bit = rest & (-rest)
+            rest ^= bit
+            i = bit.bit_length() - 1
+            options = [fam for fam in range(kappa) if narrowed(i, fam)]
+            if not options:
+                counters["prunes"] += 1
+                return False
+            if best is None or len(options) < len(best_options):
+                best, best_options = i, options
+        i = best
+        for fam in best_options:
+            if assigned[fam] == 0 and any(
+                assigned[g] == 0 for g in earlier_twins[fam]
+            ):
+                continue
+            counters["nodes"] += 1
+            roots = set()
+            rest = adj[i] & assigned[fam]
+            while rest:
+                bit = rest & (-rest)
+                rest ^= bit
+                roots.add(comp_root[bit.bit_length() - 1])
+            poss = pv[i][fam]
+            mask = 1 << i
+            for root in roots:
+                poss &= comp_poss[root]
+                mask |= comp_mask[root]
+            if poss == 0:
+                counters["prunes"] += 1
+                continue
+            saved = [(root, comp_mask.pop(root), comp_poss.pop(root)) for root in roots]
+            saved_roots = []
+            bits = mask
+            while bits:
+                bit = bits & (-bits)
+                bits ^= bit
+                j = bit.bit_length() - 1
+                saved_roots.append((j, comp_root[j]))
+                comp_root[j] = i
+            comp_mask[i] = mask
+            comp_poss[i] = poss
+            family_of[i] = fam
+            assigned[fam] |= 1 << i
+            if dfs(unassigned ^ (1 << i)):
+                return True
+            assigned[fam] ^= 1 << i
+            family_of[i] = -1
+            del comp_mask[i], comp_poss[i]
+            for j, old in saved_roots:
+                comp_root[j] = old
+            for root, m, p in saved:
+                comp_mask[root] = m
+                comp_poss[root] = p
+        return False
+
+    found = dfs((1 << nv) - 1)
+    audit = SearchAudit(level, counters["nodes"], counters["prunes"], found)
+    if not found:
+        return None, audit
+    return CRefinement(solution[0], kappa, cs), audit

@@ -223,6 +223,13 @@ def test_criterion_6_dimension_separation():
     assert [a.level for a in exhausted.audits] == [0, 1, 2]
     assert all(a.nodes > 0 and not a.found for a in exhausted.audits)
     assert sum(a.prunes for a in exhausted.audits) > 0
+    # The level-2 tree is pinned: any change to the vertex or family order or
+    # to pruning moves these counts.
+    assert [(a.level, a.nodes, a.prunes) for a in exhausted.audits] == [
+        (0, 2, 1),
+        (1, 15, 4),
+        (2, 345064, 72576),
+    ]
 
     tri3 = vertex_star_cover(tri_space(), 3)
     constructed = ostrand_refine(tri3, 2)

@@ -18,7 +18,6 @@ from polycover import (
     refinement_map,
     star_set,
     unindexed_delta,
-    vlabel,
 )
 from polycover.errors import (
     EmptyPrefix,

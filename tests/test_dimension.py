@@ -1,13 +1,13 @@
 """Refinement verification, the barycenter-class constructor, exhaustive
 search, and the equivalence driver."""
 
+import itertools
 import random
 
 import pytest
 
 from polycover import (
     CRefinement,
-    StarSet,
     cover_sequence,
     dim_oracle,
     full_star,
@@ -32,7 +32,7 @@ from polycover.fixtures import (
     vertex_star_cover,
 )
 
-from helpers import random_cover
+from helpers import random_cover, reference_search_at_level
 
 
 class TestVerify:
@@ -178,12 +178,101 @@ class TestSearch:
         assert first.audits == second.audits
 
 
+def _star_shapes():
+    """Every level-1 cover of the triangle with one element per base vertex
+    v inside the open star of v: b(v) goes to v's element, each edge
+    barycenter to one or both of its end vertices' elements, and b(a,b,c)
+    to a nonempty set of the three (189 shapes)."""
+    edges = ("ab", "ac", "bc")
+    centre = ("a", "b", "c", "ab", "ac", "bc", "abc")
+    for owners in itertools.product(*[(e[0], e[1], e) for e in edges], centre):
+        groups = {v: [f"b({v})"] for v in "abc"}
+        for (x, y), vs in zip(edges, owners[:3]):
+            for v in vs:
+                groups[v].append(f"b({x},{y})")
+        for v in owners[3]:
+            groups[v].append("b(a,b,c)")
+        yield groups
+
+
+def _shape_family(space, groups):
+    return [(f"U{v}", star_set(space, 1, groups[v])) for v in "abc"]
+
+
+def _certificate(refinement):
+    return [
+        [(eid, sorted(vlabel(v) for v in star.core_vertices)) for eid, star in fam]
+        for fam in refinement.families
+    ]
+
+
+def _assert_walks_reference_tree(cs, kappa, max_level, min_level=0):
+    """search_c_refinement against the recomputing reference, level by
+    level: (level, nodes, prunes, found) of every audit and the first
+    certificate's element ids and cores."""
+    result = search_c_refinement(cs, kappa, max_level, min_level)
+    audits = []
+    refinement = None
+    for level in range(min_level, max_level + 1):
+        refinement, audit = reference_search_at_level(cs, kappa, level)
+        audits.append(audit)
+        if refinement is not None:
+            break
+    assert [(a.level, a.nodes, a.prunes, a.found) for a in result.audits] == [
+        (a.level, a.nodes, a.prunes, a.found) for a in audits
+    ]
+    if refinement is None:
+        assert result.status == "exhausted" and result.refinement is None
+    else:
+        assert result.status == "found" and result.level == audits[-1].level
+        assert _certificate(result.refinement) == _certificate(refinement)
+    return result
+
+
+def test_search_walks_the_reference_tree():
+    """The forward-checked search visits exactly the nodes of the search that
+    re-derives every domain at every node, and finds the same certificate."""
+    for space_fn, kappa, max_level, min_level in (
+        (edge_space, 2, 1, 0),
+        (edge_space, 2, 2, 2),
+        (boundary_space, 2, 2, 0),
+        (tri_space, 2, 1, 0),
+        (tri_space, 3, 2, 0),
+        (tri_space, 3, 2, 2),
+    ):
+        cov = vertex_star_cover(space_fn(), kappa)
+        _assert_walks_reference_tree(cov, kappa, max_level, min_level)
+
+    rng = random.Random(4)
+    shapes = list(_star_shapes())
+    rng.shuffle(shapes)
+    space = tri_space()
+    deep = []
+    for groups in shapes:
+        if len(deep) == 25:
+            break
+        cs = cover_sequence(space, [_shape_family(space, groups)])
+        shallow = _assert_walks_reference_tree(cs, 2, 1)
+        # Two families never refine a triangle cover, so the level-2 tree is
+        # exhaustive; on these shapes a level-1 tree of at most 4 nodes keeps
+        # it under 40,000 nodes, which bounds the reference's run time.
+        if shallow.audits[-1].nodes <= 4:
+            deep.append(_assert_walks_reference_tree(cs, 2, 2, 2).audits[0])
+        levels = (groups, rng.choice(shapes), rng.choice(shapes))
+        mixed = cover_sequence(space, [_shape_family(space, g) for g in levels])
+        _assert_walks_reference_tree(mixed, 3, 2)
+        _assert_walks_reference_tree(mixed, 3, 2, 2)
+    assert len(deep) == 25
+    assert all(a.prunes > 0 and not a.found for a in deep)
+
+
 class TestMuDriver:
     def test_dimension_mode_succeeds_at_the_dimension(self):
         report = mu_driver(vertex_star_cover(tri_space(), 3), n_plus_one(2))
         assert report.success
         assert report.kappa == 3
         assert report.refinement_method == "constructor"
+        assert report.search_status is None
         assert report.map_is_canonical and report.map_is_selection
         assert report.roundtrip_ok
 
@@ -193,6 +282,7 @@ class TestMuDriver:
         )
         assert not report.success
         assert "exhausted" in report.failure
+        assert report.search_status == "exhausted"
         assert report.search_audits
 
     def test_omega_modes_use_the_constructor(self):
@@ -213,6 +303,7 @@ class TestMuDriver:
         report = mu_driver(cov, n_plus_one(1), max_level=1)
         assert report.success
         assert report.refinement_method == "search"
+        assert report.search_status == "found"
 
 
 def test_dim_oracle_values():

@@ -13,8 +13,6 @@ import polycover
 from polycover import (
     build_canonical,
     cover_sequence,
-    delta_subcomplex,
-    full_star,
     nerve,
     ostrand_refine,
     star_set,

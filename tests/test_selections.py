@@ -46,9 +46,7 @@ from polycover.errors import (
     SkeletonViolation,
     WitnessFailure,
 )
-from polycover.fixtures import edge_space, rem_cover, tri_space, vertex_star_cover
-
-from helpers import random_cover
+from polycover.fixtures import edge_space, rem_cover
 
 
 def fs(*vs):
