@@ -15,6 +15,7 @@ import sys
 from . import jsonio
 from .covers import DELTA, FULL_NERVE, delta_subcomplex, nerve, unindexed_delta
 from .dimension import (
+    CRefinement,
     dim_oracle,
     mu_driver,
     n_plus_one,
@@ -41,7 +42,6 @@ from .selections import (
     why_not_canonical,
     why_not_selection,
 )
-from .dimension import CRefinement
 from .selftest import format_table, run_corpus
 
 

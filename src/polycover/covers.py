@@ -10,7 +10,8 @@ counterexample testbed for prefix monotonicity.
 
 Every kernel decision reduces to one fact: a point with carrier tau lies
 in a star-set iff tau meets its core, so the kernel of a vertex set is
-nonempty iff some working-stage simplex meets every core.
+nonempty iff some working-stage simplex meets every core.  Coverage is
+decided in one place, `uncovered_vertex`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .complexes import (
     Simplex,
     maximal_simplices,
     simplex_key,
+    vlabel,
 )
 from .errors import (
     EmptyPrefix,
@@ -100,17 +102,17 @@ def cover_sequence(space: PolyhedralSpace, levels) -> CoverSequence:
             seen.add(eid)
             row.append((eid, push_star(star, working)))
         normalized.append(tuple(sorted(row, key=lambda e: e[0])))
-    covered = set()
-    for family in normalized:
-        for _, star in family:
-            covered.update(star.core_vertices)
-    missing = space.stage_complex(working).vertices - covered
-    if missing:
-        from .complexes import vlabel
-
-        name = sorted(vlabel(v) for v in missing)[0]
-        raise NoCoverage(f"vertex {name} lies in no cover element")
+    cores = (star.core_vertices for family in normalized for _, star in family)
+    missing = uncovered_vertex(space.stage_complex(working), cores)
+    if missing is not None:
+        raise NoCoverage(f"vertex {vlabel(missing)} lies in no cover element")
     return CoverSequence(space, working, tuple(normalized))
+
+
+def uncovered_vertex(stage: SimplicialComplex, cores):
+    """The least-labelled stage vertex in none of the cores, or None: the
+    star-sets with these cores cover the space iff it is None."""
+    return min(stage.vertices.difference(*cores), key=vlabel, default=None)
 
 
 def pad_levels(cs: CoverSequence, count: int) -> CoverSequence:
@@ -123,10 +125,8 @@ def pad_levels(cs: CoverSequence, count: int) -> CoverSequence:
 
 def level_covers(cs: CoverSequence, n: int) -> bool:
     """True iff level n covers the space on its own."""
-    covered = set()
-    for _, star in cs.levels[n]:
-        covered.update(star.core_vertices)
-    return cs.working_complex().vertices <= covered
+    cores = (star.core_vertices for _, star in cs.levels[n])
+    return uncovered_vertex(cs.working_complex(), cores) is None
 
 
 @dataclass(frozen=True)
@@ -156,21 +156,25 @@ def _hit(cs: CoverSequence, kappa: int, tau: Simplex) -> frozenset:
     return frozenset(out)
 
 
-def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
-    """A working-stage simplex meeting every element of sigma, or None.
-
-    The returned simplex witnesses a nonempty kernel: every point in its
-    relative interior lies in all the named star-sets.
-    """
+def _kernel_carriers(cs: CoverSequence, sigma) -> list:
+    """The working-stage simplices meeting the core of every element of
+    sigma: the carriers of the points in the kernel of sigma."""
     cores = []
     for eid, n in sigma:
         if not (0 <= n < cs.num_levels):
             raise UnknownCoverElement(f"no level {n} in this sequence")
         cores.append(cs.core(eid, n))
-    for tau in sorted(cs.working_complex().simplices, key=simplex_key):
-        if all(tau & c for c in cores):
-            return tau
-    return None
+    simplices = cs.working_complex().simplices
+    return [tau for tau in simplices if all(tau & c for c in cores)]
+
+
+def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
+    """The least working-stage simplex meeting every sigma element, or None.
+
+    The returned simplex witnesses a nonempty kernel: every point in its
+    relative interior lies in all the named star-sets.
+    """
+    return min(_kernel_carriers(cs, sigma), key=simplex_key, default=None)
 
 
 # Kept small: each key pins its cover's whole subdivision tower in memory.
@@ -219,12 +223,8 @@ def delta_at_carrier(
     tau = frozenset(tau)
     if tau not in cs.working_complex().simplices:
         raise UnknownCarrier("tau is not a simplex of the working stage")
-    per_level = []
-    for n in range(kappa):
-        ids = sorted(
-            eid for eid, star in cs.levels[n] if tau & star.core_vertices
-        )
-        per_level.append([None] + [(eid, n) for eid in ids])
+    hit = _hit(cs, kappa, tau)
+    per_level = [[None] + sorted(v for v in hit if v[1] == n) for n in range(kappa)]
     out = set()
     for combo in itertools.product(*per_level):
         s = frozenset(v for v in combo if v is not None)
@@ -248,14 +248,16 @@ def refinement_map(
     kappa_c = _check_kappa(coarse, kappa)
     if kappa_f != kappa_c:
         raise ValueError("prefix lengths differ")
+    # Push every element once; containment is then decided at one level.
+    level = max(fine.working_level, coarse.working_level)
     images = {}
     for n in range(kappa_f):
+        targets = [(cid, push_star(cstar, level)) for cid, cstar in coarse.levels[n]]
         for eid, star in fine.levels[n]:
-            chosen = None
-            for cid, cstar in coarse.levels[n]:
-                if star_subset(star, cstar):
-                    chosen = cid
-                    break
+            star = push_star(star, level)
+            chosen = next(
+                (cid for cid, cstar in targets if star_subset(star, cstar)), None
+            )
             if chosen is None:
                 raise NotARefinement(
                     f"element {eid!r} at level {n} fits inside no coarse element"

@@ -22,6 +22,7 @@ from .covers import (
     level_covers,
     pad_levels,
     refinement_map,
+    uncovered_vertex,
 )
 from .errors import (
     DimensionTooLow,
@@ -69,9 +70,10 @@ def refinement_as_cover(r: CRefinement) -> CoverSequence:
 def verify_c_refinement(r: CRefinement) -> RefinementReport:
     """Check disjointness per family, per-level refinement, and coverage.
 
-    All three checks are exact simplex combinatorics at a common level;
-    the first violation is reported with a witness.  An overlap witness
-    names the least overlapping pair of elements in family order.
+    All three checks are exact simplex combinatorics at a common level,
+    to which every element and every coarse element is pushed once; the
+    first violation is reported with a witness.  An overlap witness names
+    the least overlapping pair of elements in family order.
     """
     space = r.source.space
     level = r.source.working_level
@@ -81,11 +83,11 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
     stage = space.stage_complex(level)
 
     pushed = [
-        [(eid, push_star(star, level).core_vertices) for eid, star in family]
+        [(eid, push_star(star, level)) for eid, star in family]
         for family in r.families
     ]
     for n, family in enumerate(pushed):
-        pair = _least_overlap(stage, [core for _, core in family])
+        pair = _least_overlap(stage, [star.core_vertices for _, star in family])
         if pair is not None:
             return RefinementReport(
                 False,
@@ -94,23 +96,18 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
             )
 
     source = pad_levels(r.source, r.kappa)
-    for n, family in enumerate(r.families):
+    for n, family in enumerate(pushed):
+        coarse = [push_star(star, level) for _, star in source.levels[n]]
         for eid, star in family:
-            if not any(
-                star_subset(star, coarse) for _, coarse in source.levels[n]
-            ):
+            if not any(star_subset(star, c) for c in coarse):
                 return RefinementReport(
                     False, "not_a_refinement", {"level": n, "element": eid}
                 )
 
-    covered: set = set()
-    for family in pushed:
-        for _, core in family:
-            covered.update(core)
-    missing = stage.vertices - covered
-    if missing:
-        v = sorted(missing, key=vlabel)[0]
-        return RefinementReport(False, "uncovered", {"vertex": vlabel(v)})
+    cores = (star.core_vertices for family in pushed for _, star in family)
+    missing = uncovered_vertex(stage, cores)
+    if missing is not None:
+        return RefinementReport(False, "uncovered", {"vertex": vlabel(missing)})
     return RefinementReport(True)
 
 
@@ -442,6 +439,15 @@ def mu_driver(
     method = None
     audits: tuple = ()
     status = None
+
+    def report(**outcome) -> MuReport:
+        """The report of the run so far (method, audits and status as they
+        stand now) with the given outcome fields."""
+        return MuReport(
+            refinement_method=method, search_audits=audits, search_status=status,
+            **base, **outcome,
+        )
+
     try:
         if kappa > d and all(level_covers(padded, k) for k in range(kappa)):
             method = "constructor"
@@ -454,13 +460,8 @@ def mu_driver(
             if status == "found":
                 refinement = result.refinement
             else:
-                return MuReport(
-                    success=False,
-                    failure=f"search exhausted at level {max_level}",
-                    refinement_method=method,
-                    search_audits=audits,
-                    search_status=status,
-                    **base,
+                return report(
+                    success=False, failure=f"search exhausted at level {max_level}"
                 )
 
         verdict = verify_c_refinement(refinement)
@@ -477,10 +478,9 @@ def mu_driver(
         success = bool(
             verdict and simplicial and canonical and selection and roundtrip
         )
-        return MuReport(
+        return report(
             success=success,
             failure=None if success else "a certificate failed verification",
-            refinement_method=method,
             refinement_ok=bool(verdict),
             family_sizes=tuple(len(f) for f in refinement.families),
             canonical_level=f.subdivision_level,
@@ -489,17 +489,7 @@ def mu_driver(
             map_is_selection=selection,
             roundtrip_ok=bool(roundtrip),
             roundtrip_family_sizes=tuple(len(f) for f in back.families),
-            search_audits=audits,
-            search_status=status,
-            **base,
         )
     except LevelBudgetExceeded as budget:
-        budget.report = MuReport(
-            success=False,
-            failure=str(budget),
-            refinement_method=method,
-            search_audits=audits,
-            search_status=status,
-            **base,
-        )
+        budget.report = report(success=False, failure=str(budget))
         raise

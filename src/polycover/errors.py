@@ -54,7 +54,7 @@ class NoCoverage(PolycoverError):
 
 
 class LevelBudgetExceeded(PolycoverError):
-    """Subdivision exceeded the configured maximum level.
+    """Subdivision exceeded the configured maximum level or stage size.
 
     May carry a ``report`` attribute with partial driver results.
     """

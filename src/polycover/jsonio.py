@@ -15,12 +15,20 @@ from fractions import Fraction
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
+    maximal_simplices,
     simplex_key,
     simplex_label,
     validate_complex,
     vlabel,
 )
-from .covers import CoverSequence, IndexedNerve, cover_sequence
+from .covers import (
+    DELTA,
+    CoverSequence,
+    IndexedNerve,
+    cover_sequence,
+    delta_subcomplex,
+    nerve,
+)
 from .dimension import CRefinement, MuReport, RefinementReport, SearchResult
 from .errors import PolycoverError, SchemaError
 from .realization import (
@@ -72,8 +80,6 @@ def _expect_obj(value, path: str) -> dict:
 # -- complexes ---------------------------------------------------------------
 
 def complex_to_json(c: SimplicialComplex) -> dict:
-    from .complexes import maximal_simplices
-
     return {
         "maximal_simplices": [
             sorted(vlabel(v) for v in s) for s in maximal_simplices(c)
@@ -98,19 +104,25 @@ def complex_from_json(data, path: str = "$") -> SimplicialComplex:
     return validate_complex(sets)
 
 
-def complex_to_dot(c: SimplicialComplex, name: str = "complex") -> str:
+def _to_dot(c: SimplicialComplex, name: str, caption: str) -> str:
+    """A DOT graph of c's vertices and edges, labelled with the caption
+    and the simplex count per dimension."""
     counts: dict = {}
     for s in c.simplices:
         counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
-    label = ", ".join(f"{k}-simplices: {counts[k]}" for k in sorted(counts))
+    label = caption + ", ".join(f"{k}-simplices: {counts[k]}" for k in sorted(counts))
     lines = [f"graph {json.dumps(name)} {{", f'  label="{label}";']
     for v in sorted(c.vertices, key=vlabel):
         lines.append(f"  {json.dumps(vlabel(v))};")
     for s in sorted((s for s in c.simplices if len(s) == 2), key=simplex_key):
-        a, b = sorted((vlabel(v) for v in s))
+        a, b = sorted(vlabel(v) for v in s)
         lines.append(f"  {json.dumps(a)} -- {json.dumps(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def complex_to_dot(c: SimplicialComplex, name: str = "complex") -> str:
+    return _to_dot(c, name, "")
 
 
 # -- points and star-sets ----------------------------------------------------
@@ -148,16 +160,21 @@ def star_set_to_json(s: StarSet) -> dict:
     }
 
 
-def star_set_from_json(space: PolyhedralSpace, data, path: str = "$") -> StarSet:
-    obj = _expect_obj(data, path)
-    level = _expect_int(obj.get("level"), f"{path}.level")
+def _stars_from_json(space: PolyhedralSpace, level: int, obj: dict, path: str) -> StarSet:
+    """The level-`level` star-set named by the `stars` label list of obj."""
     stars = _expect_list(obj.get("stars"), f"{path}.stars")
-    _expect(len(stars) > 0, f"{path}.stars", "a star-set needs core vertices")
     names = [_expect_str(v, f"{path}.stars[{i}]") for i, v in enumerate(stars)]
     try:
         return star_set(space, level, names)
     except ValueError as err:
         raise SchemaError(f"{path}.stars", str(err)) from None
+
+
+def star_set_from_json(space: PolyhedralSpace, data, path: str = "$") -> StarSet:
+    obj = _expect_obj(data, path)
+    level = _expect_int(obj.get("level"), f"{path}.level")
+    _expect(obj.get("stars") != [], f"{path}.stars", "a star-set needs core vertices")
+    return _stars_from_json(space, level, obj, path)
 
 
 # -- cover sequences ---------------------------------------------------------
@@ -191,14 +208,7 @@ def cover_from_json(data, path: str = "$") -> CoverSequence:
             here = f"{path}.levels[{n}][{i}]"
             raw = _expect_obj(raw, here)
             eid = _expect_str(raw.get("id"), f"{here}.id")
-            stars = _expect_list(raw.get("stars"), f"{here}.stars")
-            names = [
-                _expect_str(v, f"{here}.stars[{j}]") for j, v in enumerate(stars)
-            ]
-            try:
-                family.append((eid, star_set(space, level, names)))
-            except ValueError as err:
-                raise SchemaError(f"{here}.stars", str(err)) from None
+            family.append((eid, _stars_from_json(space, level, raw, here)))
         levels.append(family)
     try:
         return cover_sequence(space, levels)
@@ -210,6 +220,12 @@ def cover_from_json(data, path: str = "$") -> CoverSequence:
 
 def _pair(v) -> list:
     return [v[0], v[1]]
+
+
+def _pair_from_json(value, path: str) -> tuple:
+    pair = _expect_list(value, path)
+    _expect(len(pair) == 2, path, "expected an [id, level] pair")
+    return _expect_str(pair[0], f"{path}[0]"), _expect_int(pair[1], f"{path}[1]")
 
 
 def nerve_to_json(n: IndexedNerve) -> dict:
@@ -226,20 +242,7 @@ def nerve_to_json(n: IndexedNerve) -> dict:
 
 
 def nerve_to_dot(n: IndexedNerve, name: str = "nerve") -> str:
-    counts: dict = {}
-    for s in n.complex.simplices:
-        counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
-    label = n.kind + " | " + ", ".join(
-        f"{k}-simplices: {counts[k]}" for k in sorted(counts)
-    )
-    lines = [f"graph {json.dumps(name)} {{", f'  label="{label}";']
-    for v in sorted(n.complex.vertices, key=vlabel):
-        lines.append(f"  {json.dumps(vlabel(v))};")
-    for s in sorted((s for s in n.complex.simplices if len(s) == 2), key=simplex_key):
-        a, b = sorted(vlabel(v) for v in s)
-        lines.append(f"  {json.dumps(a)} -- {json.dumps(b)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _to_dot(n.complex, name, n.kind + " | ")
 
 
 def unindexed_to_json(c: SimplicialComplex) -> dict:
@@ -269,8 +272,6 @@ def canonical_map_to_json(f: CanonicalMap) -> dict:
 def canonical_map_from_json(
     cs: CoverSequence, data, path: str = "$", kappa: int | None = None
 ) -> CanonicalMap:
-    from .covers import DELTA, delta_subcomplex, nerve as build_nerve
-
     obj = _expect_obj(data, path)
     level = _expect_int(obj.get("subdivision_level"), f"{path}.subdivision_level")
     kind = obj.get("target_kind", DELTA)
@@ -284,18 +285,13 @@ def canonical_map_from_json(
     images = {}
     for name, pair in images_raw.items():
         here = f"{path}.vertex_images[{name!r}]"
-        pair = _expect_list(pair, here)
-        _expect(len(pair) == 2, here, "expected an [id, level] pair")
-        eid = _expect_str(pair[0], f"{here}[0]")
-        n = _expect_int(pair[1], f"{here}[1]")
+        image = _pair_from_json(pair, here)
         try:
             v = cs.space.vertex_named(level, name)
         except ValueError as err:
             raise SchemaError(here, str(err)) from None
-        images[v] = (eid, n)
-    target = (
-        delta_subcomplex(cs, kappa) if kind == DELTA else build_nerve(cs, kappa)
-    )
+        images[v] = image
+    target = delta_subcomplex(cs, kappa) if kind == DELTA else nerve(cs, kappa)
     return CanonicalMap(level, SimplicialMap(stage, target.complex, images), target)
 
 
@@ -311,8 +307,6 @@ def delta_map_to_json(f: SimplicialMap) -> dict:
 def delta_map_from_json(
     cs: CoverSequence, target: SimplicialComplex, data, path: str = "$"
 ) -> SimplicialMap:
-    from .covers import delta_subcomplex
-
     obj = _expect_obj(data, path)
     rows = _expect_list(obj.get("vertex_images"), f"{path}.vertex_images")
     by_label = {vlabel(v): v for v in target.vertices}
@@ -320,13 +314,10 @@ def delta_map_from_json(
     for i, row in enumerate(rows):
         here = f"{path}.vertex_images[{i}]"
         row = _expect_obj(row, here)
-        pair = _expect_list(row.get("vertex"), f"{here}.vertex")
-        _expect(len(pair) == 2, f"{here}.vertex", "expected an [id, level] pair")
-        eid = _expect_str(pair[0], f"{here}.vertex[0]")
-        n = _expect_int(pair[1], f"{here}.vertex[1]")
+        vertex = _pair_from_json(row.get("vertex"), f"{here}.vertex")
         name = _expect_str(row.get("image"), f"{here}.image")
         _expect(name in by_label, f"{here}.image", "names no target vertex")
-        images[(eid, n)] = by_label[name]
+        images[vertex] = by_label[name]
     source = delta_subcomplex(cs, cs.num_levels).complex
     return SimplicialMap(source, target, images)
 
@@ -335,8 +326,6 @@ def delta_map_from_json(
 
 def tables_to_json(phi: CarrierMappingSequence) -> dict:
     stage = phi.space.stage_complex(phi.level)
-    from .complexes import maximal_simplices
-
     tables = []
     for table in phi.tables:
         entry = {}
@@ -423,12 +412,7 @@ def refinement_from_json(cs: CoverSequence, data, path: str = "$") -> CRefinemen
             raw = _expect_obj(raw, here)
             eid = _expect_str(raw.get("id"), f"{here}.id")
             level = _expect_int(raw.get("level"), f"{here}.level")
-            stars = _expect_list(raw.get("stars"), f"{here}.stars")
-            names = [_expect_str(v, f"{here}.stars[{j}]") for j, v in enumerate(stars)]
-            try:
-                family.append((eid, star_set(cs.space, level, names)))
-            except ValueError as err:
-                raise SchemaError(f"{here}.stars", str(err)) from None
+            family.append((eid, _stars_from_json(cs.space, level, raw, here)))
         families.append(tuple(family))
     return CRefinement(tuple(families), kappa, cs)
 
@@ -441,14 +425,18 @@ def report_to_json(report: RefinementReport) -> dict:
     }
 
 
+def _audits_to_json(audits) -> list:
+    return [
+        {"level": a.level, "nodes": a.nodes, "prunes": a.prunes, "found": a.found}
+        for a in audits
+    ]
+
+
 def search_to_json(result: SearchResult) -> dict:
     return {
         "status": result.status,
         "level": result.level,
-        "audits": [
-            {"level": a.level, "nodes": a.nodes, "prunes": a.prunes, "found": a.found}
-            for a in result.audits
-        ],
+        "audits": _audits_to_json(result.audits),
         "refinement": (
             None if result.refinement is None else refinement_to_json(result.refinement)
         ),
@@ -478,10 +466,7 @@ def mu_report_to_json(report: MuReport) -> dict:
             "ok": report.roundtrip_ok,
             "family_sizes": list(report.roundtrip_family_sizes),
         },
-        "search_audits": [
-            {"level": a.level, "nodes": a.nodes, "prunes": a.prunes, "found": a.found}
-            for a in report.search_audits
-        ],
+        "search_audits": _audits_to_json(report.search_audits),
     }
 
 

@@ -10,7 +10,8 @@ level, never the reverse.
 At one level, a star-set contains the open star of a vertex v exactly when
 v is in its core, because {v} is itself a simplex of the stage.  So
 containment and equality of star-sets are containment and equality of
-their cores; only disjointness needs a look at the stage.
+their cores; only disjointness needs a look at the stage.  Pushdown
+sweeps whole stages, so callers push each star-set to a common level once.
 """
 
 from __future__ import annotations
@@ -33,15 +34,35 @@ from .errors import (
     CannotCoarsen,
     IncompleteMap,
     InvalidPoint,
+    LevelBudgetExceeded,
     LevelMismatch,
 )
+
+# Larger stages are refused before they are built: the triangle's stage 6
+# has 140,161 simplices, its stage 7 would take gigabytes for 840,193.
+MAX_STAGE_SIMPLICES = 250_000
+
+
+def _subdivision_size(c: SimplicialComplex) -> int:
+    """Simplices of the subdivision of c, one per chain of faces.  A chain
+    ending at a j-vertex simplex is the simplex alone or a chain ending at
+    one of its C(j, i) i-vertex faces, then the simplex: 1, 3, 13, 75, ..."""
+    chains = [0]
+    for j in range(1, c.dim + 2):
+        total = binom = 1
+        for i in range(1, j):
+            binom = binom * (j - i + 1) // i
+            total += binom * chains[i]
+        chains.append(total)
+    return sum(chains[len(s)] for s in c.simplices)
 
 
 class PolyhedralSpace:
     """The ground space |K|: a base complex and its subdivision tower.
 
     Stages are computed on demand and cached; the tower is deterministic,
-    so two spaces with equal bases have identical stages.
+    so two spaces with equal bases have identical stages.  A stage of
+    more than MAX_STAGE_SIMPLICES simplices raises LevelBudgetExceeded.
     """
 
     def __init__(self, base: SimplicialComplex):
@@ -53,6 +74,12 @@ class PolyhedralSpace:
         if level < 0:
             raise ValueError("stage levels are nonnegative")
         while len(self._stages) <= level:
+            size = _subdivision_size(self._stages[-1].complex)
+            if size > MAX_STAGE_SIMPLICES:
+                raise LevelBudgetExceeded(
+                    f"stage {len(self._stages)} would have {size} simplices, "
+                    f"over the limit of {MAX_STAGE_SIMPLICES}"
+                )
             self._stages.append(subdivide(self._stages[-1]))
         return self._stages[level]
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
-    Simplex,
     cone,
     coned,
     simplex_key,
@@ -33,9 +32,11 @@ from .covers import (
     CoverSequence,
     IndexedNerve,
     _check_kappa,
+    _kernel_carriers,
     cover_sequence,
     delta_subcomplex,
     nerve,
+    uncovered_vertex,
 )
 from .errors import (
     ArityError,
@@ -182,10 +183,8 @@ def build_canonical(
     """
     kappa = _check_kappa(cs, kappa)
     stage = cs.working_complex()
-    covered = set()
-    for _, _, star in cs.elements(kappa):
-        covered.update(star.core_vertices)
-    if not stage.vertices <= covered:
+    cores = (star.core_vertices for _, _, star in cs.elements(kappa))
+    if uncovered_vertex(stage, cores) is not None:
         raise NoCoverage(f"the first {kappa} levels do not cover the space")
     if target_kind == DELTA:
         _check_disjoint_levels(cs, kappa)
@@ -383,15 +382,6 @@ def bootstrap_skeletal_selection(phi: CarrierMappingSequence):
     return cs, SimplicialMap(source, phi.target, images)
 
 
-def _kernel_carriers(cs: CoverSequence, sigma: Simplex) -> list:
-    cores = [cs.core(eid, n) for eid, n in sigma]
-    return [
-        tau
-        for tau in cs.working_complex().simplices
-        if all(tau & c for c in cores)
-    ]
-
-
 def is_skeletal_selection(
     f: SimplicialMap, cs: CoverSequence, phi: CarrierMappingSequence
 ) -> bool:
@@ -456,10 +446,8 @@ def extend_skeletal_selection(
             )
     if not is_skeletal_selection(f, cs, phi):
         raise ValueError("the input map is not a skeletal selection")
-    new_family = [
-        (vlabel(v), StarSet(phi.space, phi.level, frozenset([v])))
-        for v in sorted(stage.vertices, key=vlabel)
-    ]
+    # The witness sits in every level-0 value, so none is empty.
+    new_family, _ = vertex_selection(phi)
     extended = cover_sequence(cs.space, list(cs.levels) + [new_family])
     source = delta_subcomplex(extended, n + 2).complex
     images = dict(f.vertex_images)

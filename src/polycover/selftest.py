@@ -15,6 +15,7 @@ from .complexes import (
     vlabel,
 )
 from .covers import (
+    cover_sequence,
     delta_at_carrier,
     delta_subcomplex,
     kernel_query,
@@ -51,6 +52,7 @@ from .realization import (
     star_set,
 )
 from .selections import (
+    CanonicalMap,
     bootstrap_skeletal_selection,
     build_canonical,
     carrier_tables,
@@ -152,8 +154,6 @@ def check_disjoint_delta_equals_nerve() -> int:
         [("L", star_set(e, 1, ["b(a)"])), ("R", star_set(e, 1, ["b(b)"]))],
         [("M", star_set(e, 1, ["b(a,b)"]))],
     ]
-    from .covers import cover_sequence
-
     cs = cover_sequence(e, fams)
     _check(
         delta_subcomplex(cs, 2).complex == nerve(cs, 2).complex,
@@ -197,10 +197,7 @@ def check_unindexed_counterexample() -> int:
 
 def check_canonical_equals_selection() -> int:
     cs = rem_cover()
-    from .covers import nerve as build_nerve
-    from .selections import CanonicalMap
-
-    target = build_nerve(cs, 2)
+    target = nerve(cs, 2)
     stage = cs.space.stage_complex(1)
     verts = sorted(stage.vertices, key=vlabel)
     elements = [(eid, n) for eid, n, _ in cs.elements(2)]

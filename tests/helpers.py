@@ -13,15 +13,22 @@ from fractions import Fraction
 from polycover import (
     CRefinement,
     PolyhedralSpace,
+    RefinementReport,
+    SimplicialMap,
     StarRelation,
     StarSet,
     cover_sequence,
+    delta_subcomplex,
     pad_levels,
     push_star,
     stage_point,
+    star_subset,
     vlabel,
 )
+from polycover.covers import _check_kappa
 from polycover.dimension import SearchAudit
+from polycover.errors import NotARefinement
+from polycover.realization import _least_overlap
 
 
 def brute_force_chain_count(simplices) -> dict:
@@ -244,6 +251,81 @@ def sweep_least_overlap(stars: list):
         if sweep_star_relation(stars[i], stars[j]) is not StarRelation.DISJOINT:
             return (i, j)
     return None
+
+
+# -- per-pair containment oracles ---------------------------------------------
+# The verifier and the refinement map as they were before they pushed each
+# star-set to the common level once: every (element, coarse element) test
+# re-pushes both sides, and coverage is a set union of the pushed cores.
+
+
+def reference_verify_c_refinement(r: CRefinement) -> RefinementReport:
+    """`verify_c_refinement` deciding containment pair by pair."""
+    space = r.source.space
+    level = r.source.working_level
+    for family in r.families:
+        for _, star in family:
+            level = max(level, star.level)
+    stage = space.stage_complex(level)
+
+    pushed = [
+        [(eid, push_star(star, level).core_vertices) for eid, star in family]
+        for family in r.families
+    ]
+    for n, family in enumerate(pushed):
+        pair = _least_overlap(stage, [core for _, core in family])
+        if pair is not None:
+            return RefinementReport(
+                False,
+                "overlap",
+                {"level": n, "elements": [family[i][0] for i in pair]},
+            )
+
+    source = pad_levels(r.source, r.kappa)
+    for n, family in enumerate(r.families):
+        for eid, star in family:
+            if not any(
+                star_subset(star, coarse) for _, coarse in source.levels[n]
+            ):
+                return RefinementReport(
+                    False, "not_a_refinement", {"level": n, "element": eid}
+                )
+
+    covered: set = set()
+    for family in pushed:
+        for _, core in family:
+            covered.update(core)
+    missing = stage.vertices - covered
+    if missing:
+        v = sorted(missing, key=vlabel)[0]
+        return RefinementReport(False, "uncovered", {"vertex": vlabel(v)})
+    return RefinementReport(True)
+
+
+def reference_refinement_map(fine, coarse, kappa=None) -> SimplicialMap:
+    """`refinement_map` deciding containment pair by pair."""
+    if fine.space != coarse.space:
+        raise ValueError("cover sequences live on different spaces")
+    kappa_f = _check_kappa(fine, kappa)
+    kappa_c = _check_kappa(coarse, kappa)
+    if kappa_f != kappa_c:
+        raise ValueError("prefix lengths differ")
+    images = {}
+    for n in range(kappa_f):
+        for eid, star in fine.levels[n]:
+            chosen = None
+            for cid, cstar in coarse.levels[n]:
+                if star_subset(star, cstar):
+                    chosen = cid
+                    break
+            if chosen is None:
+                raise NotARefinement(
+                    f"element {eid!r} at level {n} fits inside no coarse element"
+                )
+            images[(eid, n)] = (chosen, n)
+    source = delta_subcomplex(fine, kappa_f).complex
+    target = delta_subcomplex(coarse, kappa_c).complex
+    return SimplicialMap(source, target, images)
 
 
 # -- search oracle ------------------------------------------------------------

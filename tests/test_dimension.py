@@ -16,14 +16,17 @@ from polycover import (
     omega,
     omega_plus_one,
     ostrand_refine,
+    pad_levels,
+    push_star,
     refinement_as_cover,
+    refinement_map,
     search_c_refinement,
     star_set,
     validate_complex,
     verify_c_refinement,
     vlabel,
 )
-from polycover.errors import DimensionTooLow
+from polycover.errors import DimensionTooLow, NoCoverage, NotARefinement
 from polycover.realization import PolyhedralSpace
 from polycover.fixtures import (
     boundary_space,
@@ -32,7 +35,12 @@ from polycover.fixtures import (
     vertex_star_cover,
 )
 
-from helpers import random_cover, reference_search_at_level
+from helpers import (
+    random_cover,
+    reference_refinement_map,
+    reference_search_at_level,
+    reference_verify_c_refinement,
+)
 
 
 class TestVerify:
@@ -264,6 +272,92 @@ def test_search_walks_the_reference_tree():
         _assert_walks_reference_tree(mixed, 3, 2, 2)
     assert len(deep) == 25
     assert all(a.prunes > 0 and not a.found for a in deep)
+
+
+def _corrupted(r, rng):
+    """Copies of r broken three ways: a duplicated element (overlap), a
+    family replaced by the whole space or by another family (refinement),
+    and a dropped element (coverage).  A copy may still pass, or fail an
+    earlier check than the one aimed at."""
+    families = [list(family) for family in r.families]
+    space = r.source.space
+    out = []
+    n = rng.randrange(len(families))
+    if families[n]:
+        eid, star = rng.choice(families[n])
+        dup = [list(f) for f in families]
+        dup[n].append((eid + "'", star))
+        out.append(dup)
+    whole = [list(f) for f in families]
+    whole[n] = [("whole", full_star(space, rng.choice([0, r.source.working_level])))]
+    out.append(whole)
+    out.append(families[1:] + families[:1])
+    dropped = [list(f) for f in families]
+    if dropped[n]:
+        dropped[n].pop(rng.randrange(len(dropped[n])))
+    out.append(dropped)
+    return [CRefinement(tuple(map(tuple, f)), r.kappa, r.source) for f in out]
+
+
+def _mixed_levels(r, rng):
+    """r with some elements re-expressed one level finer."""
+    families = tuple(
+        tuple(
+            (eid, push_star(star, star.level + 1) if rng.random() < 0.4 else star)
+            for eid, star in family
+        )
+        for family in r.families
+    )
+    return CRefinement(families, r.kappa, r.source)
+
+
+def _assert_same_map(fine, coarse, kappa):
+    try:
+        expected = reference_refinement_map(fine, coarse, kappa)
+    except NotARefinement as err:
+        with pytest.raises(NotARefinement) as got:
+            refinement_map(fine, coarse, kappa)
+        assert str(got.value) == str(err)
+        return False
+    assert refinement_map(fine, coarse, kappa) == expected
+    return True
+
+
+def test_verifier_and_refinement_map_match_per_pair_reference():
+    """Pushing every star-set to the common level once gives the verdicts,
+    witnesses and vertex maps of the per-pair containment tests."""
+    rng = random.Random(20261018)
+    spaces = [edge_space(), boundary_space(), tri_space()]
+    valid = []
+    # The triangle at level 2 gives 673 elements at level 3: one such case.
+    for space, level in list(itertools.product(spaces, (0, 1, 2))) + [
+        (rng.choice(spaces), rng.randint(0, 1)) for _ in range(9)
+    ]:
+        cs = random_cover(space, rng, level, rng.randint(1, 3), per_level_cover=True)
+        valid.append(ostrand_refine(cs, 2))
+    for space in spaces:
+        kappa = dim_oracle(space) + 1
+        for level in (0, 1):
+            cs = random_cover(space, rng, level, kappa)
+            result = search_c_refinement(cs, kappa, level + 1, level)
+            assert result.status == "found"
+            valid.append(result.refinement)
+
+    failures = []
+    mapped = []
+    for r in valid:
+        for case in [r, _mixed_levels(r, rng)] + _corrupted(r, rng):
+            report = verify_c_refinement(case)
+            assert report == reference_verify_c_refinement(case)
+            failures.append(report.failure)
+            try:
+                fine = refinement_as_cover(case)
+            except NoCoverage:
+                continue
+            coarse = pad_levels(case.source, case.kappa)
+            mapped.append(_assert_same_map(fine, coarse, case.kappa))
+    assert set(failures) == {None, "overlap", "not_a_refinement", "uncovered"}
+    assert set(mapped) == {True, False}
 
 
 class TestMuDriver:

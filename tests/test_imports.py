@@ -1,0 +1,42 @@
+"""Every name that `src/`, `tests/` or `demos/` imports is used.
+
+An AST scan: a module's imported names must each appear as a name or as
+the base of an attribute somewhere in the module.  Re-exports from a
+package's `__init__.py` are exempt, and so are `__future__` imports.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_scan_finds_an_unused_import():
+    source = "import os\nimport sys\nfrom a import b as c, d\nprint(sys.argv, d)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "c")]
+
+
+def test_no_unused_imports():
+    offenders = []
+    for top in ("src", "tests", "demos"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for line, name in unused_imports(path.read_text(encoding="utf-8")):
+                offenders.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert offenders == []

@@ -339,6 +339,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "maximal_simplices" in err
 
+    def test_oversized_stage_exit_three(self, tmp_path, capsys):
+        doc = {
+            "space": {"maximal_simplices": [list("abcdef")]},
+            "working_level": 2,
+            "levels": [[{"id": "A", "stars": ["b(b(a))"]}]],
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["nerve", "--cover", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "level budget exhausted: stage 2 would have 5016249 simplices, "
+            "over the limit of 250000\n"
+        )
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 

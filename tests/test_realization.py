@@ -26,14 +26,16 @@ from polycover import (
     validate_complex,
 )
 from polycover.complexes import vlabel
+from polycover import realization
 from polycover.errors import (
     CannotCoarsen,
     DisjointnessRequired,
     InvalidPoint,
+    LevelBudgetExceeded,
     LevelMismatch,
 )
 from polycover.fixtures import boundary_space, edge_space, rem_cover, tri_space
-from polycover.realization import _least_overlap
+from polycover.realization import PolyhedralSpace, _least_overlap, _subdivision_size
 
 from helpers import (
     grid_points,
@@ -292,6 +294,28 @@ def test_core_rule_matches_stage_sweep_oracles():
             ids = [cs.levels[0][k][0] for k in pair]
             with pytest.raises(DisjointnessRequired, match=f"'{ids[0]}' and '{ids[1]}' at level 0"):
                 build_canonical(cs)
+
+
+def test_next_stage_size_is_exact():
+    for space in (edge_space(), boundary_space(), tri_space()):
+        for level in range(3):
+            predicted = _subdivision_size(space.stage_complex(level))
+            assert predicted == len(space.stage_complex(level + 1).simplices)
+    five_simplex = validate_complex([set("abcdef")])
+    assert _subdivision_size(five_simplex) == 9365
+
+
+def test_oversized_stage_is_refused_before_it_is_built(monkeypatch):
+    space = PolyhedralSpace(validate_complex([set("abcdef")]))
+    assert len(space.stage_complex(1).simplices) == 9365
+
+    def refuse(stage):
+        raise AssertionError("the oversized stage was built")
+
+    monkeypatch.setattr(realization, "subdivide", refuse)
+    with pytest.raises(LevelBudgetExceeded, match="stage 2 would have 5016249 simplices"):
+        space.stage(2)
+    assert len(space.stage_complex(1).simplices) == 9365
 
 
 class TestRealizeMap:
