@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / certificate found, 1 predicate failure (witness
-JSON on stdout), 2 schema or input errors (path-precise message on
-stderr), 3 model-relative search exhaustion.  All JSON payloads carry
+JSON on stdout), 2 schema or input errors (one `schema error: <path>: ...`
+or `input error (<kind>): ...` line on stderr), 3 model-relative search
+exhaustion or `level budget exhausted: ...`.  All JSON payloads carry
 schema_version and are byte-identical across runs for fixed inputs.
 """
 
@@ -99,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("complex", help="validate a complex and emit its closure")
+    p.set_defaults(run=_cmd_complex)
     p.add_argument("input", help="complex JSON file, or - for stdin")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out", default=None)
@@ -108,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("delta", "the one-vertex-per-level subcomplex of the nerve"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=_cmd_nerve)
         p.add_argument("--cover", required=True, help="cover JSON file, or -")
         p.add_argument("--kappa", type=_kappa_arg, default=None)
         p.add_argument("--unindexed", action="store_true",
@@ -116,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("canonical", help="build a canonical map for a cover prefix")
+    p.set_defaults(run=_cmd_canonical)
     p.add_argument("--cover", required=True)
     p.add_argument("--kappa", type=_kappa_arg, default=None)
     p.add_argument("--target", choices=(DELTA, "nerve"), default=DELTA)
@@ -123,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("selection", help="check predicates of a map against a cover")
+    p.set_defaults(run=_cmd_selection)
     p.add_argument("--cover", required=True)
     p.add_argument("--kappa", type=_kappa_arg, default=None)
     p.add_argument("--map", required=True, dest="map_file")
@@ -135,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("crefine", help="construct, search, verify, or extract refinements")
+    p.set_defaults(run=_cmd_crefine)
     action = p.add_subparsers(dest="action", required=True)
 
     a = action.add_parser("construct", help="barycenter dimension-class families")
@@ -162,20 +168,24 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", default=None)
 
     p = sub.add_parser("dim", help="covering dimension of a complex")
+    p.set_defaults(run=_cmd_dim)
     p.add_argument("input")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("cone-extend", help="extend a map over a cone via a witness")
+    p.set_defaults(run=_cmd_cone_extend)
     p.add_argument("input")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("mu-driver", help="run both equivalence directions")
+    p.set_defaults(run=_cmd_mu_driver)
     p.add_argument("cover")
     p.add_argument("--mode", "--mu", type=_mode_arg, required=True)
     p.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("selftest", help="run the fixture corpus")
+    p.set_defaults(run=_cmd_selftest)
     p.add_argument("--out", default=None)
     return parser
 
@@ -189,7 +199,8 @@ def _cmd_complex(args) -> int:
     return 0
 
 
-def _cmd_nerve(args, kind: str) -> int:
+def _cmd_nerve(args) -> int:
+    kind = FULL_NERVE if args.command == "nerve" else DELTA
     cs = jsonio.cover_from_json(_read_json(args.cover, "cover"))
     if args.unindexed:
         if kind != DELTA:
@@ -310,25 +321,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "complex":
-            return _cmd_complex(args)
-        if args.command == "nerve":
-            return _cmd_nerve(args, FULL_NERVE)
-        if args.command == "delta":
-            return _cmd_nerve(args, DELTA)
-        if args.command == "canonical":
-            return _cmd_canonical(args)
-        if args.command == "selection":
-            return _cmd_selection(args)
-        if args.command == "crefine":
-            return _cmd_crefine(args)
-        if args.command == "dim":
-            return _cmd_dim(args)
-        if args.command == "cone-extend":
-            return _cmd_cone_extend(args)
-        if args.command == "mu-driver":
-            return _cmd_mu_driver(args)
-        return _cmd_selftest(args)
+        return args.run(args)
     except SchemaError as err:
         sys.stderr.write(f"schema error: {err}\n")
         return 2

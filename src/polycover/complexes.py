@@ -137,13 +137,13 @@ def cone(c: SimplicialComplex, v: Vertex) -> SimplicialComplex:
 
 
 def maximal_simplices(c: SimplicialComplex) -> list:
-    """Simplices of c contained in no other simplex of c, in canonical order."""
-    by_size = sorted(c.simplices, key=len, reverse=True)
-    out: list = []
-    for s in by_size:
-        if not any(s < t for t in out):
-            out.append(s)
-    return sorted(out, key=simplex_key)
+    """Simplices of c contained in no other simplex of c, in canonical order.
+
+    c is face-closed, so a simplex lies in a larger one iff it is some
+    simplex minus one vertex.
+    """
+    faces = {t - {v} for t in c.simplices for v in t}
+    return sorted(c.simplices - faces, key=simplex_key)
 
 
 @dataclass(frozen=True)

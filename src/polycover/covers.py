@@ -10,13 +10,14 @@ counterexample testbed for prefix monotonicity.
 
 Every kernel decision reduces to one fact: a point with carrier tau lies
 in a star-set iff tau meets its core, so the kernel of a vertex set is
-nonempty iff some working-stage simplex meets every core.  Coverage is
+nonempty iff it lies in the hit set (the elements whose cores it meets)
+of some working-stage simplex.  One hit index per cover, `_hit_sets`,
+decides nerves, one-per-level complexes and kernels.  Coverage is
 decided in one place, `uncovered_vertex`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,18 +25,19 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     Simplex,
-    maximal_simplices,
+    face_closure,
     simplex_key,
     vlabel,
 )
 from .errors import (
     EmptyPrefix,
+    InvalidArgument,
     NoCoverage,
     NotARefinement,
     UnknownCarrier,
     UnknownCoverElement,
 )
-from .realization import PolyhedralSpace, push_star, star_subset
+from .realization import PolyhedralSpace, _hits, push_star, star_subset
 
 FULL_NERVE = "full_nerve"
 DELTA = "delta"
@@ -65,12 +67,6 @@ class CoverSequence:
         for n in range(end):
             for eid, star in self.levels[n]:
                 yield eid, n, star
-
-    def core(self, eid: str, n: int) -> frozenset:
-        for candidate, star in self.levels[n]:
-            if candidate == eid:
-                return star.core_vertices
-        raise UnknownCoverElement(f"no element {eid!r} at level {n}")
 
     def working_complex(self) -> SimplicialComplex:
         return self.space.stage_complex(self.working_level)
@@ -143,29 +139,31 @@ def _check_kappa(cs: CoverSequence, kappa: int | None) -> int:
     if kappa < 1:
         raise EmptyPrefix("kappa must be at least 1")
     if kappa > cs.num_levels:
-        raise ValueError(f"kappa={kappa} exceeds the {cs.num_levels} levels present")
+        raise InvalidArgument(f"kappa={kappa} exceeds the {cs.num_levels} levels present")
     return kappa
 
 
-def _hit(cs: CoverSequence, kappa: int, tau: Simplex) -> frozenset:
-    """All (id, n) with n < kappa whose core meets tau."""
-    out = set()
-    for eid, n, star in cs.elements(kappa):
-        if tau & star.core_vertices:
-            out.add((eid, n))
-    return frozenset(out)
+# Kept small: each key pins its cover's whole subdivision tower in memory.
+@lru_cache(maxsize=8)
+def _hit_sets(cs: CoverSequence) -> dict:
+    """Each working-stage simplex tau -> the (id, n) of every level whose
+    core meets tau: the kernel of a vertex set contains the interior of
+    tau iff the set lies in tau's hit set."""
+    elements = list(cs.elements())
+    hits = _hits(cs.working_complex(), [star.core_vertices for *_, star in elements])
+    return {tau: frozenset(elements[i][:2] for i in h) for tau, h in hits.items()}
 
 
 def _kernel_carriers(cs: CoverSequence, sigma) -> list:
     """The working-stage simplices meeting the core of every element of
     sigma: the carriers of the points in the kernel of sigma."""
-    cores = []
     for eid, n in sigma:
         if not (0 <= n < cs.num_levels):
             raise UnknownCoverElement(f"no level {n} in this sequence")
-        cores.append(cs.core(eid, n))
-    simplices = cs.working_complex().simplices
-    return [tau for tau in simplices if all(tau & c for c in cores)]
+        if eid not in dict(cs.levels[n]):
+            raise UnknownCoverElement(f"no element {eid!r} at level {n}")
+    sigma = frozenset(sigma)
+    return [tau for tau, hit in _hit_sets(cs).items() if sigma <= hit]
 
 
 def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
@@ -177,16 +175,21 @@ def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
     return min(_kernel_carriers(cs, sigma), key=simplex_key, default=None)
 
 
-# Kept small: each key pins its cover's whole subdivision tower in memory.
-@lru_cache(maxsize=8)
-def _nerve_simplices(cs: CoverSequence, kappa: int) -> frozenset:
-    out: set = set()
-    for tau in maximal_simplices(cs.working_complex()):
-        hit = sorted(_hit(cs, kappa, tau))
-        for r in range(1, len(hit) + 1):
-            for sub in itertools.combinations(hit, r):
-                out.add(frozenset(sub))
-    return frozenset(out)
+def _prefix_hit_sets(cs: CoverSequence, kappa: int) -> set:
+    """The distinct hit sets of working-stage simplices, cut to the first
+    kappa levels."""
+    hits = set(_hit_sets(cs).values())
+    return {frozenset(v for v in hit if v[1] < kappa) for hit in hits}
+
+
+def _one_per_level(hit, kappa: int) -> frozenset:
+    """The nonempty subsets of hit with at most one vertex per level below
+    kappa: extend every subset so far by each level-n vertex, level by level."""
+    out = {frozenset()}
+    for n in range(kappa):
+        at_n = [v for v in hit if v[1] == n]
+        out |= {s | {v} for s in out for v in at_n}
+    return frozenset(out - {frozenset()})
 
 
 def nerve(cs: CoverSequence, kappa: int | None = None) -> IndexedNerve:
@@ -194,21 +197,19 @@ def nerve(cs: CoverSequence, kappa: int | None = None) -> IndexedNerve:
 
     Simplices are exactly the kernel-nonempty vertex sets.  Since the
     interiors of working-stage simplices partition the space, these are
-    the subsets of some maximal simplex's hit set.
+    the subsets of some simplex's hit set.
     """
     kappa = _check_kappa(cs, kappa)
-    return IndexedNerve(SimplicialComplex(_nerve_simplices(cs, kappa)), FULL_NERVE)
+    closure = face_closure(_prefix_hit_sets(cs, kappa))
+    return IndexedNerve(SimplicialComplex(closure), FULL_NERVE)
 
 
 def delta_subcomplex(cs: CoverSequence, kappa: int | None = None) -> IndexedNerve:
     """The subcomplex of the nerve with at most one vertex per level."""
     kappa = _check_kappa(cs, kappa)
-    kept = set()
-    for s in _nerve_simplices(cs, kappa):
-        ns = [n for _, n in s]
-        if len(set(ns)) == len(ns):
-            kept.add(s)
-    return IndexedNerve(SimplicialComplex(frozenset(kept)), DELTA)
+    hits = _prefix_hit_sets(cs, kappa)
+    out = frozenset().union(*(_one_per_level(hit, kappa) for hit in hits))
+    return IndexedNerve(SimplicialComplex(out), DELTA)
 
 
 def delta_at_carrier(
@@ -220,17 +221,10 @@ def delta_at_carrier(
     tau; it may be empty when the prefix misses tau entirely.
     """
     kappa = _check_kappa(cs, kappa)
-    tau = frozenset(tau)
-    if tau not in cs.working_complex().simplices:
+    hit = _hit_sets(cs).get(frozenset(tau))
+    if hit is None:
         raise UnknownCarrier("tau is not a simplex of the working stage")
-    hit = _hit(cs, kappa, tau)
-    per_level = [[None] + sorted(v for v in hit if v[1] == n) for n in range(kappa)]
-    out = set()
-    for combo in itertools.product(*per_level):
-        s = frozenset(v for v in combo if v is not None)
-        if s:
-            out.add(s)
-    return SimplicialComplex(frozenset(out))
+    return SimplicialComplex(_one_per_level(hit, kappa))
 
 
 def refinement_map(
@@ -277,21 +271,13 @@ def unindexed_delta(cs: CoverSequence, kappa: int | None = None) -> SimplicialCo
     """
     kappa = _check_kappa(cs, kappa)
     rep: dict = {}
-    member_sets: list = []
-    for n in range(kappa):
-        members = set()
-        for eid, star in cs.levels[n]:
-            key = star.core_vertices
-            if key not in rep:
-                rep[key] = f"{eid}@{n}"
-            members.add(rep[key])
-        member_sets.append(members)
-    core_of = {name: key for key, name in rep.items()}
-    out = set()
-    for tau in maximal_simplices(cs.working_complex()):
-        hit = sorted(name for name, key in core_of.items() if tau & key)
-        for r in range(1, len(hit) + 1):
-            for sub in itertools.combinations(hit, r):
-                if all(len(set(sub) & members) <= 1 for members in member_sets):
-                    out.add(frozenset(sub))
-    return SimplicialComplex(frozenset(out))
+    for eid, n, star in cs.elements(kappa):
+        rep.setdefault(star.core_vertices, f"{eid}@{n}")
+    member_sets = [
+        {rep[star.core_vertices] for _, star in cs.levels[n]} for n in range(kappa)
+    ]
+    names = list(rep.values())
+    hits = _hits(cs.working_complex(), list(rep)).values()
+    closure = face_closure({tuple(names[i] for i in h) for h in hits})
+    kept = (s for s in closure if all(len(s & m) <= 1 for m in member_sets))
+    return SimplicialComplex(frozenset(kept))

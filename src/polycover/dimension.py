@@ -26,6 +26,7 @@ from .covers import (
 )
 from .errors import (
     DimensionTooLow,
+    InvalidArgument,
     LevelBudgetExceeded,
     NoCoverage,
 )
@@ -361,7 +362,7 @@ def search_c_refinement(
     `max_level` with the full per-level enumeration audit.
     """
     if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+        raise InvalidArgument("kappa must be at least 1")
     audits = []
     for level in range(min_level, max_level + 1):
         refinement, audit = _search_at_level(cs, kappa, level)

@@ -5,6 +5,10 @@ class PolycoverError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidArgument(PolycoverError, ValueError):
+    """An argument lies outside the range the operation accepts."""
+
+
 class InvalidComplex(PolycoverError):
     """Raw input cannot be turned into a simplicial complex."""
 

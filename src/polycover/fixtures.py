@@ -1,5 +1,5 @@
-"""Shared desk-scale fixtures: an edge, a solid triangle, its boundary,
-and the three-level midpoint cover used throughout the tests and the
+"""Shared desk-scale fixtures: an edge, a solid triangle, its boundary, a
+solid tetrahedron, and the three-level midpoint cover used throughout the tests and the
 self-test corpus.
 """
 
@@ -32,6 +32,10 @@ def tri_space() -> PolyhedralSpace:
 
 def boundary_space() -> PolyhedralSpace:
     return PolyhedralSpace(f_tri_boundary())
+
+
+def tet_space() -> PolyhedralSpace:
+    return PolyhedralSpace(validate_complex([{"a", "b", "c", "d"}]))
 
 
 def rem_cover(space: PolyhedralSpace | None = None) -> CoverSequence:

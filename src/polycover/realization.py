@@ -10,7 +10,8 @@ level, never the reverse.
 At one level, a star-set contains the open star of a vertex v exactly when
 v is in its core, because {v} is itself a simplex of the stage.  So
 containment and equality of star-sets are containment and equality of
-their cores; only disjointness needs a look at the stage.  Pushdown
+their cores; only disjointness needs a look at the stage, through the
+hit sets of `_hits`: the cores each stage simplex meets.  Pushdown
 sweeps whole stages, so callers push each star-set to a common level once.
 """
 
@@ -33,6 +34,7 @@ from .complexes import (
 from .errors import (
     CannotCoarsen,
     IncompleteMap,
+    InvalidArgument,
     InvalidPoint,
     LevelBudgetExceeded,
     LevelMismatch,
@@ -72,7 +74,7 @@ class PolyhedralSpace:
 
     def stage(self, level: int) -> SubdivisionStage:
         if level < 0:
-            raise ValueError("stage levels are nonnegative")
+            raise InvalidArgument("stage levels are nonnegative")
         while len(self._stages) <= level:
             size = _subdivision_size(self._stages[-1].complex)
             if size > MAX_STAGE_SIMPLICES:
@@ -289,21 +291,29 @@ def star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
     return StarRelation.DISJOINT
 
 
+def _hits(stage: SimplicialComplex, cores: list) -> dict:
+    """Each stage simplex -> the ascending indices of the cores it meets.
+
+    A simplex meets a core iff one of its vertices lies in it, so one
+    vertex -> core index answers every simplex without testing each core.
+    """
+    at: dict = {}
+    for i, core in enumerate(cores):
+        for v in core:
+            at.setdefault(v, []).append(i)
+    return {
+        s: tuple(sorted({i for v in s for i in at.get(v, ())}))
+        for s in stage.simplices
+    }
+
+
 def _least_overlap(stage: SimplicialComplex, cores: list) -> tuple | None:
     """The least pair (i, j), i < j, of overlapping star-sets with these
-    cores at this stage, or None when they are pairwise disjoint.
-
-    Two star-sets overlap iff some stage simplex meets both cores; the
-    pass over the stage stops early once it finds (0, 1).
-    """
-    least = None
-    for s in stage.simplices:
-        met = [i for i, core in enumerate(cores) if s & core]
-        if len(met) > 1 and (least is None or tuple(met[:2]) < least):
-            least = tuple(met[:2])
-            if least == (0, 1):
-                break
-    return least
+    cores at this stage, or None when they are pairwise disjoint: two
+    star-sets overlap iff some stage simplex meets both cores."""
+    return min(
+        (h[:2] for h in _hits(stage, cores).values() if len(h) > 1), default=None
+    )
 
 
 def star_subset(s1: StarSet, s2: StarSet) -> bool:

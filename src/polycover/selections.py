@@ -43,6 +43,7 @@ from .errors import (
     ComposeError,
     DisjointnessRequired,
     EmptyValue,
+    InvalidArgument,
     LevelBudgetExceeded,
     LevelMismatch,
     NoConeWitness,
@@ -265,10 +266,10 @@ def cone_extend(
     n = len(chain) - 2
     target = g.target
     if frozenset([q]) not in target.simplices:
-        raise ValueError(f"witness {vlabel(q)} is not a vertex of the target")
+        raise InvalidArgument(f"witness {vlabel(q)} is not a vertex of the target")
     for i, s_k in enumerate(chain):
         if not s_k.subcomplex_of(target):
-            raise ValueError(f"chain member {i} is not a subcomplex of the target")
+            raise InvalidArgument(f"chain member {i} is not a subcomplex of the target")
     if g.source.dim > n:
         raise SkeletonViolation(
             f"source dimension {g.source.dim} exceeds chain bound {n}"

@@ -25,9 +25,10 @@ from polycover import (
     star_subset,
     vlabel,
 )
+from polycover.complexes import SimplicialComplex, simplex_key
 from polycover.covers import _check_kappa
 from polycover.dimension import SearchAudit
-from polycover.errors import NotARefinement
+from polycover.errors import NotARefinement, UnknownCarrier, UnknownCoverElement
 from polycover.realization import _least_overlap
 
 
@@ -326,6 +327,109 @@ def reference_refinement_map(fine, coarse, kappa=None) -> SimplicialMap:
     source = delta_subcomplex(fine, kappa_f).complex
     target = delta_subcomplex(coarse, kappa_c).complex
     return SimplicialMap(source, target, images)
+
+
+# -- hit-set oracles -----------------------------------------------------------
+# The nerve, the one-per-level complexes and kernels as they were computed
+# before the library read them off one hit index per cover: every simplex
+# tests every core, and nerves enumerate the subsets of the hit sets of
+# the maximal simplices, found by pairwise comparison.
+
+
+def reference_maximal_simplices(c: SimplicialComplex) -> list:
+    """Maximal simplices by comparing each simplex with every larger one
+    kept so far, in canonical order."""
+    by_size = sorted(c.simplices, key=len, reverse=True)
+    out: list = []
+    for s in by_size:
+        if not any(s < t for t in out):
+            out.append(s)
+    return sorted(out, key=simplex_key)
+
+
+def reference_hit(cs, kappa: int, tau) -> frozenset:
+    """All (id, n) with n < kappa whose core meets tau."""
+    out = set()
+    for eid, n, star in cs.elements(kappa):
+        if tau & star.core_vertices:
+            out.add((eid, n))
+    return frozenset(out)
+
+
+def reference_kernel_carriers(cs, sigma) -> list:
+    """The working-stage simplices meeting the core of every element of sigma."""
+    cores = []
+    for eid, n in sigma:
+        if not (0 <= n < cs.num_levels):
+            raise UnknownCoverElement(f"no level {n} in this sequence")
+        star = dict(cs.levels[n]).get(eid)
+        if star is None:
+            raise UnknownCoverElement(f"no element {eid!r} at level {n}")
+        cores.append(star.core_vertices)
+    simplices = cs.working_complex().simplices
+    return [tau for tau in simplices if all(tau & c for c in cores)]
+
+
+def reference_nerve_simplices(cs, kappa: int) -> frozenset:
+    """Every subset of the hit set of some maximal working-stage simplex."""
+    out: set = set()
+    for tau in reference_maximal_simplices(cs.working_complex()):
+        hit = sorted(reference_hit(cs, kappa, tau))
+        for r in range(1, len(hit) + 1):
+            for sub in itertools.combinations(hit, r):
+                out.add(frozenset(sub))
+    return frozenset(out)
+
+
+def reference_delta_subcomplex(cs, kappa=None) -> frozenset:
+    """The nerve simplices with at most one vertex per level."""
+    kappa = _check_kappa(cs, kappa)
+    kept = set()
+    for s in reference_nerve_simplices(cs, kappa):
+        ns = [n for _, n in s]
+        if len(set(ns)) == len(ns):
+            kept.add(s)
+    return frozenset(kept)
+
+
+def reference_delta_at_carrier(cs, kappa, tau) -> frozenset:
+    """The one-per-level subsets of tau's hit set, by a per-level product."""
+    kappa = _check_kappa(cs, kappa)
+    tau = frozenset(tau)
+    if tau not in cs.working_complex().simplices:
+        raise UnknownCarrier("tau is not a simplex of the working stage")
+    hit = reference_hit(cs, kappa, tau)
+    per_level = [[None] + sorted(v for v in hit if v[1] == n) for n in range(kappa)]
+    out = set()
+    for combo in itertools.product(*per_level):
+        s = frozenset(v for v in combo if v is not None)
+        if s:
+            out.add(s)
+    return frozenset(out)
+
+
+def reference_unindexed_delta(cs, kappa=None) -> frozenset:
+    """The one-per-level construction over point sets merged across levels."""
+    kappa = _check_kappa(cs, kappa)
+    rep: dict = {}
+    member_sets: list = []
+    for n in range(kappa):
+        members = set()
+        for eid, star in cs.levels[n]:
+            key = star.core_vertices
+            if key not in rep:
+                rep[key] = f"{eid}@{n}"
+            members.add(rep[key])
+        member_sets.append(members)
+    core_of = {name: key for key, name in rep.items()}
+    out = set()
+    for tau in reference_maximal_simplices(cs.working_complex()):
+        hit = sorted(name for name, key in core_of.items() if tau & key)
+        for r in range(1, len(hit) + 1):
+            for sub in itertools.combinations(hit, r):
+                if all(len(set(sub) & members) <= 1 for members in member_sets):
+                    out.add(frozenset(sub))
+    return frozenset(out)
 
 
 # -- search oracle ------------------------------------------------------------

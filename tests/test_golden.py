@@ -159,17 +159,40 @@ CASES = {
         "mu_report",
     ),
     "selftest": (["selftest"], None),
+    "nerve-tet": (["nerve", "--cover", "tet1.cover.json", "--kappa", "2"], "nerve"),
+    "delta-tet": (["delta", "--cover", "tet1.cover.json", "--kappa", "2"], "nerve"),
+    "delta-unindexed-tet": (
+        ["delta", "--cover", "tet1.cover.json", "--kappa", "2", "--unindexed"],
+        None,
+    ),
+    "mu-driver-tet": (["mu-driver", "--mode", "dim:3", "tet1.cover.json"], "mu_report"),
+    "nerve-kappa-beyond-levels": (
+        ["nerve", "--cover", "rem.cover.json", "--kappa", "4"],
+        None,
+    ),
+    "search-kappa-zero": (
+        ["crefine", "search", "--cover", "tri3.cover.json", "--kappa", "0", "--max-level", "1"],
+        None,
+    ),
+    "cone-extend-bad-witness": (["cone-extend", "cone_bad_witness.json"], None),
+    "selection-negative-level": (
+        ["selection", "--cover", "rem.cover.json", "--map", "negative_level.map.json"],
+        None,
+    ),
 }
 
-# input document -> schema it conforms to (the skeletal map has none)
+# input document -> schema it conforms to (the skeletal map has none, and the
+# negative-level map breaks its schema on purpose)
 INPUT_SCHEMAS = {
     "bad.map.json": "canonical_map",
     "boundary.complex.json": "complex",
     "clash.cover.json": "cover_sequence",
     "cone.json": "cone_extend_input",
+    "cone_bad_witness.json": "cone_extend_input",
     "cone_witness_failure.json": "cone_extend_input",
     "fine.cover.json": "cover_sequence",
     "fine.delta.map.json": "canonical_map",
+    "negative_level.map.json": None,
     "not_a_refinement.refinement.json": "refinement",
     "overlap.refinement.json": "refinement",
     "rem.cover.json": "cover_sequence",
@@ -177,6 +200,7 @@ INPUT_SCHEMAS = {
     "skeletal.cover.json": "cover_sequence",
     "skeletal.map.json": None,
     "skeletal.tables.json": "carrier_tables",
+    "tet1.cover.json": "cover_sequence",
     "tri.complex.json": "complex",
     "tri1.cover.json": "cover_sequence",
     "tri2.cover.json": "cover_sequence",

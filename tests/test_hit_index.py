@@ -1,0 +1,129 @@
+"""The hit index against the constructions it replaced.
+
+Nerves, one-per-level complexes, carrier values, kernels and overlaps are
+read off each working simplex's hit set; `tests/helpers.py` keeps the
+earlier per-core scans and the pairwise `maximal_simplices` as oracles.
+"""
+
+import itertools
+import random
+
+from polycover import (
+    PolyhedralSpace,
+    delta_at_carrier,
+    delta_subcomplex,
+    kernel_query,
+    maximal_simplices,
+    nerve,
+    simplex_key,
+    unindexed_delta,
+    validate_complex,
+)
+from polycover.covers import _kernel_carriers
+from polycover.fixtures import boundary_space, edge_space, tet_space, tri_space
+from polycover.realization import _least_overlap
+
+from helpers import (
+    random_cover,
+    random_disjoint_cover,
+    reference_delta_at_carrier,
+    reference_delta_subcomplex,
+    reference_kernel_carriers,
+    reference_maximal_simplices,
+    reference_nerve_simplices,
+    reference_unindexed_delta,
+    sweep_least_overlap,
+)
+
+# (space, working levels) pairs the covers are drawn at
+GROUNDS = [
+    (edge_space, (0, 1, 2)),
+    (boundary_space, (0, 1, 2)),
+    (tri_space, (0, 1, 2)),
+    (tet_space, (0, 1)),
+]
+
+
+def seeded_covers(seed: int):
+    """Two arbitrary and two per-level-disjoint covers per ground and level."""
+    rng = random.Random(seed)
+    for space_fn, levels in GROUNDS:
+        for level in levels:
+            for make in (random_cover, random_cover, random_disjoint_cover,
+                         random_disjoint_cover):
+                yield make(space_fn(), rng, level, rng.randint(1, 3))
+
+
+def test_maximal_simplices_matches_pairwise_oracle():
+    complexes = [
+        space_fn().stage_complex(level)
+        for space_fn in (edge_space, boundary_space, tri_space)
+        for level in range(4)
+    ]
+    rng = random.Random(41)
+    for _ in range(40):
+        verts = "abcdefg"[: rng.randint(1, 7)]
+        raw = [
+            rng.sample(verts, rng.randint(1, len(verts)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        complexes.append(validate_complex(raw))
+    for c in complexes:
+        assert maximal_simplices(c) == reference_maximal_simplices(c)
+
+
+def test_nerves_and_one_per_level_complexes_match_oracles():
+    for cs in seeded_covers(7):
+        for kappa in range(1, cs.num_levels + 1):
+            assert nerve(cs, kappa).complex.simplices == (
+                reference_nerve_simplices(cs, kappa)
+            )
+            assert delta_subcomplex(cs, kappa).complex.simplices == (
+                reference_delta_subcomplex(cs, kappa)
+            )
+            assert unindexed_delta(cs, kappa).simplices == (
+                reference_unindexed_delta(cs, kappa)
+            )
+            for tau in cs.working_complex().simplices:
+                assert delta_at_carrier(cs, kappa, tau).simplices == (
+                    reference_delta_at_carrier(cs, kappa, tau)
+                )
+
+
+def test_kernels_match_oracle():
+    rng = random.Random(11)
+    empty = 0
+    for cs in seeded_covers(11):
+        elements = [(eid, n) for eid, n, _ in cs.elements()]
+        for _ in range(12):
+            sigma = rng.sample(elements, rng.randint(1, min(3, len(elements))))
+            expected = reference_kernel_carriers(cs, sigma)
+            assert sorted(_kernel_carriers(cs, sigma), key=simplex_key) == sorted(
+                expected, key=simplex_key
+            )
+            least = min(expected, key=simplex_key, default=None)
+            assert kernel_query(cs, sigma) == least
+            empty += not expected
+    assert empty > 0
+
+
+def test_least_overlap_matches_sweep():
+    pairs = set()
+    for cs in seeded_covers(13):
+        stage = cs.working_complex()
+        for family in cs.levels:
+            stars = [star for _, star in family]
+            pair = _least_overlap(stage, [star.core_vertices for star in stars])
+            assert pair == sweep_least_overlap(stars)
+            pairs.add(pair)
+    assert {None, (0, 1), (0, 2)} <= pairs
+
+
+def test_least_overlap_prefers_the_least_of_several_pairs():
+    space = PolyhedralSpace(validate_complex([{"a", "b", "c"}]))
+    stage = space.stage_complex(0)
+    a, b, c = (frozenset(v) for v in "abc")
+    for cores in itertools.permutations([a, b, c, a | b]):
+        assert _least_overlap(stage, list(cores)) == (0, 1)
+    assert _least_overlap(stage, [a, b]) == (0, 1)
+    assert _least_overlap(stage, [a, frozenset("x"), b]) == (0, 2)
