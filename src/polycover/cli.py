@@ -231,6 +231,8 @@ def _cmd_selection(args) -> int:
     if args.predicate == "skeletal":
         if args.tables is None:
             raise SchemaError("--tables", "the skeletal predicate needs carrier tables")
+        if args.kappa is not None:
+            raise SchemaError("--kappa", "the skeletal predicate reads every cover level")
         phi = jsonio.tables_from_json(cs.space, _read_json(args.tables, "tables"))
         f = jsonio.delta_map_from_json(
             cs, phi.target, _read_json(args.map_file, "map")

@@ -214,18 +214,15 @@ def subdivide(stage: SubdivisionStage) -> SubdivisionStage:
     current = sorted(stage.complex.simplices, key=len)
     chains_ending: dict = {}
     for s in current:
-        ordered = sorted(s, key=vlabel)
         ending = [(s,)]
         for r in range(1, len(s)):
-            for sub in itertools.combinations(ordered, r):
+            for sub in itertools.combinations(s, r):
                 t = frozenset(sub)
                 ending.extend(ch + (s,) for ch in chains_ending[t])
         chains_ending[s] = ending
 
-    new_simplices = set()
-    for ending in chains_ending.values():
-        for ch in ending:
-            new_simplices.add(frozenset(Barycenter(s) for s in ch))
+    chains = (ch for ending in chains_ending.values() for ch in ending)
+    new_simplices = {frozenset(Barycenter(s) for s in ch) for ch in chains}
     carriers = {Barycenter(s): s for s in stage.complex.simplices}
     return SubdivisionStage(
         stage.level + 1, SimplicialComplex(frozenset(new_simplices)), carriers

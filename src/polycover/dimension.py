@@ -12,6 +12,7 @@ star-set model and the level bound, never a claim about all refinements.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .complexes import Barycenter, check_simplicial_map, simplex_key, vlabel
@@ -77,24 +78,20 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
     the least overlapping pair of elements in family order.
     """
     space = r.source.space
-    level = r.source.working_level
-    for family in r.families:
-        for _, star in family:
-            level = max(level, star.level)
+    stars = [star for family in r.families for _, star in family]
+    level = max([r.source.working_level] + [star.level for star in stars])
     stage = space.stage_complex(level)
 
     pushed = [
         [(eid, push_star(star, level)) for eid, star in family]
         for family in r.families
     ]
-    for n, family in enumerate(pushed):
-        pair = _least_overlap(stage, [star.core_vertices for _, star in family])
-        if pair is not None:
-            return RefinementReport(
-                False,
-                "overlap",
-                {"level": n, "elements": [family[i][0] for i in pair]},
-            )
+    cores = [[star.core_vertices for _, star in family] for family in pushed]
+    overlap = _least_overlap(stage, cores)
+    if overlap is not None:
+        n, i, j = overlap
+        ids = [pushed[n][i][0], pushed[n][j][0]]
+        return RefinementReport(False, "overlap", {"level": n, "elements": ids})
 
     source = pad_levels(r.source, r.kappa)
     for n, family in enumerate(pushed):
@@ -105,8 +102,7 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
                     False, "not_a_refinement", {"level": n, "element": eid}
                 )
 
-    cores = (star.core_vertices for family in pushed for _, star in family)
-    missing = uncovered_vertex(stage, cores)
+    missing = uncovered_vertex(stage, (core for row in cores for core in row))
     if missing is not None:
         return RefinementReport(False, "uncovered", {"vertex": vlabel(missing)})
     return RefinementReport(True)
@@ -244,12 +240,8 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     # Families whose element point sets agree are interchangeable; breaking
     # that symmetry (a class member may only be opened after every earlier
     # member of its class) preserves satisfiability.
-    signatures = [
-        tuple(sorted(tuple(sorted(vlabel(v) for v in core)) for core in row))
-        for row in cores
-    ]
     earlier_twins = [
-        [g for g in range(fam) if signatures[g] == signatures[fam]]
+        [g for g in range(fam) if Counter(cores[g]) == Counter(cores[fam])]
         for fam in range(kappa)
     ]
 

@@ -88,6 +88,12 @@ class PolyhedralSpace:
     def stage_complex(self, level: int) -> SimplicialComplex:
         return self.stage(level).complex
 
+    def vertex_at(self, level: int, key):
+        """The stage vertex with this id or label; other keys pass through."""
+        if key in self.stage(level).complex.vertices or not isinstance(key, str):
+            return key
+        return self.vertex_named(level, key)
+
     def vertex_named(self, level: int, label: str):
         """Resolve a printable vertex label at the given stage."""
         while len(self._labels) <= level:
@@ -133,12 +139,7 @@ def _to_fraction(x) -> Fraction:
 def stage_point(space: PolyhedralSpace, level: int, coords: dict) -> BarycentricPoint:
     """Build a point on the level-m stage; keys may be vertex ids or labels."""
     stage = space.stage(level)
-    resolved = {}
-    for key, value in coords.items():
-        v = key
-        if v not in stage.complex.vertices and isinstance(key, str):
-            v = space.vertex_named(level, key)
-        resolved[v] = _to_fraction(value)
+    resolved = {space.vertex_at(level, k): _to_fraction(c) for k, c in coords.items()}
     return BarycentricPoint(level, resolved, stage.complex)
 
 
@@ -174,8 +175,9 @@ def push_point(
     """Re-express a stage point at a finer stage (the identical point of |K|).
 
     One step works by the descending-coordinate staircase: sorting the
-    support by coordinate, the prefix sets form a chain, and the point is
-    the combination of their barycenters with weights i*(λ_i - λ_{i+1}).
+    support by coordinate (ties in any order), the prefix sets form a chain,
+    and the point is the combination of their barycenters with weights
+    i*(λ_i - λ_{i+1}), which is 0 for a prefix splitting a tie.
     """
     if target_level < p.level:
         raise CannotCoarsen("points can only be pushed to finer levels")
@@ -184,7 +186,7 @@ def push_point(
     q = p
     for level in range(p.level, target_level):
         carrier(q)
-        items = sorted(q.coords.items(), key=lambda vc: (-vc[1], vlabel(vc[0])))
+        items = sorted(q.coords.items(), key=lambda vc: -vc[1])
         items = [(v, c) for v, c in items if c > 0]
         coords = {}
         prefix: list = []
@@ -216,9 +218,7 @@ def star_set(space: PolyhedralSpace, level: int, cores) -> StarSet:
     stage = space.stage(level)
     resolved = set()
     for key in cores:
-        v = key
-        if v not in stage.complex.vertices and isinstance(key, str):
-            v = space.vertex_named(level, key)
+        v = space.vertex_at(level, key)
         if v not in stage.complex.vertices:
             raise ValueError(f"{key!r} is not a vertex of stage {level}")
         resolved.add(v)
@@ -307,13 +307,15 @@ def _hits(stage: SimplicialComplex, cores: list) -> dict:
     }
 
 
-def _least_overlap(stage: SimplicialComplex, cores: list) -> tuple | None:
-    """The least pair (i, j), i < j, of overlapping star-sets with these
-    cores at this stage, or None when they are pairwise disjoint: two
-    star-sets overlap iff some stage simplex meets both cores."""
-    return min(
-        (h[:2] for h in _hits(stage, cores).values() if len(h) > 1), default=None
-    )
+def _least_overlap(stage: SimplicialComplex, families: list) -> tuple | None:
+    """The least (n, i, j), i < j, such that star-sets i and j of family n
+    overlap at this stage, or None.  Two star-sets overlap iff some stage
+    simplex meets both cores, and a family's least pair in a hit set is
+    adjacent there, so one hit index over all families answers them all."""
+    owner = [(n, i) for n, cores in enumerate(families) for i in range(len(cores))]
+    hits = _hits(stage, [core for cores in families for core in cores]).values()
+    pairs = ((owner[a], owner[b]) for h in hits for a, b in zip(h, h[1:]))
+    return min(((n, i, j) for (n, i), (m, j) in pairs if n == m), default=None)
 
 
 def star_subset(s1: StarSet, s2: StarSet) -> bool:

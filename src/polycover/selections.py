@@ -32,6 +32,7 @@ from .covers import (
     CoverSequence,
     IndexedNerve,
     _check_kappa,
+    _hit_sets,
     _kernel_carriers,
     cover_sequence,
     delta_subcomplex,
@@ -115,7 +116,7 @@ def why_not_canonical(
     for element in sorted(fibers, key=lambda e: (e[1], e[0])):
         stray = fibers[element] - cores[element]
         if stray:
-            v = sorted(stray, key=vlabel)[0]
+            v = min(stray, key=vlabel)
             return {
                 "element": list(element),
                 "vertex": vlabel(v),
@@ -139,30 +140,36 @@ def why_not_selection(
     kappa = _check_kappa(cs, kappa)
     _stage_of_map(f, cs)
     cores = _pushed_cores(cs, kappa, f.subdivision_level)
-    for tau in sorted(f.map.source.simplices, key=simplex_key):
-        for element in sorted(f.map.image(tau), key=lambda e: (e[1], e[0])):
-            if element not in cores:
-                raise UnknownCoverElement(f"image {element!r} names no cover element")
-            if not (tau & cores[element]):
-                return {
-                    "simplex": sorted(vlabel(v) for v in tau),
-                    "element": list(element),
-                    "reason": "simplex misses the core of an element it maps to",
-                }
+    # The witness lies on the least simplex with a vertex whose image is missing,
+    # unknown or misses it (the empty simplex, which maps to nothing, if none).
+    images = f.map.vertex_images
+    unsound = (
+        tau for tau in f.map.source.simplices
+        if any(v not in images or not tau & cores.get(images[v], set()) for v in tau)
+    )
+    tau = min(unsound, key=simplex_key, default=frozenset())
+    for element in sorted(f.map.image(tau), key=lambda e: (e[1], e[0])):
+        if element not in cores:
+            raise UnknownCoverElement(f"image {element!r} names no cover element")
+        if not (tau & cores[element]):
+            return {
+                "simplex": sorted(vlabel(v) for v in tau),
+                "element": list(element),
+                "reason": "simplex misses the core of an element it maps to",
+            }
     return None
 
 
 def _check_disjoint_levels(cs: CoverSequence, kappa: int) -> None:
-    stage = cs.working_complex()
-    for n in range(kappa):
-        family = cs.levels[n]
-        pair = _least_overlap(stage, [star.core_vertices for _, star in family])
-        if pair is not None:
-            i, j = pair
-            raise DisjointnessRequired(
-                f"elements {family[i][0]!r} and {family[j][0]!r} at level "
-                f"{n} are not disjoint"
-            )
+    families = cs.levels[:kappa]
+    cores = [[star.core_vertices for _, star in family] for family in families]
+    overlap = _least_overlap(cs.working_complex(), cores)
+    if overlap is not None:
+        n, i, j = overlap
+        raise DisjointnessRequired(
+            f"elements {families[n][i][0]!r} and {families[n][j][0]!r} at level "
+            f"{n} are not disjoint"
+        )
 
 
 def build_canonical(
@@ -172,7 +179,8 @@ def build_canonical(
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> CanonicalMap:
     """Construct a canonical map on the working stage by assigning each
-    vertex the smallest (level, id) element whose core contains it.
+    vertex the smallest (level, id) element whose core contains it: the
+    least element of the hit set of {v}.
 
     The working stage is already fine enough: a vertex star lies inside an
     element exactly when the vertex is in the element's core, and the
@@ -197,13 +205,10 @@ def build_canonical(
         raise LevelBudgetExceeded(
             f"no canonical assignment up to subdivision level {max_level}"
         )
-    order = sorted(
-        ((eid, n, star.core_vertices) for eid, n, star in cs.elements(kappa)),
-        key=lambda e: (e[1], e[0]),
-    )
+    # The first kappa levels cover, so the least element is one of theirs.
+    hits = _hit_sets(cs)
     images = {
-        v: next((eid, n) for eid, n, core in order if v in core)
-        for v in stage.vertices
+        v: min(hits[frozenset([v])], key=lambda e: (e[1], e[0])) for v in stage.vertices
     }
     return CanonicalMap(
         cs.working_level, SimplicialMap(stage, target.complex, images), target
@@ -328,19 +333,20 @@ def carrier_tables(
             if not value.subcomplex_of(target):
                 raise ValueError(f"table {k} value is not a subcomplex of the target")
         frozen.append(dict(table))
-    simplices = sorted(stage.simplices, key=simplex_key)
+    # Codimension-one faces suffice: every face inclusion chains through them.
     for k, table in enumerate(frozen):
-        for i, tau in enumerate(simplices):
-            for sigma in simplices[i + 1 :]:
-                if tau < sigma and not table[tau].subcomplex_of(table[sigma]):
-                    raise ValueError(
-                        f"table {k} is not carrier-monotone at a face inclusion"
-                    )
+        for tau in stage.simplices:
+            if len(tau) > 1 and not all(
+                table[tau - {v}].subcomplex_of(table[tau]) for v in tau
+            ):
+                raise ValueError(
+                    f"table {k} is not carrier-monotone at a face inclusion"
+                )
     if cone_witness is not None:
         if frozenset([cone_witness]) not in target.simplices:
             raise NoConeWitness("the witness is not a vertex of the target")
         for k in range(len(frozen) - 1):
-            for tau in simplices:
+            for tau in stage.simplices:
                 if not coned(frozen[k][tau], cone_witness).subcomplex_of(
                     frozen[k + 1][tau]
                 ):

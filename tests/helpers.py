@@ -29,7 +29,6 @@ from polycover.complexes import SimplicialComplex, simplex_key
 from polycover.covers import _check_kappa
 from polycover.dimension import SearchAudit
 from polycover.errors import NotARefinement, UnknownCarrier, UnknownCoverElement
-from polycover.realization import _least_overlap
 
 
 def brute_force_chain_count(simplices) -> dict:
@@ -273,8 +272,8 @@ def reference_verify_c_refinement(r: CRefinement) -> RefinementReport:
         [(eid, push_star(star, level).core_vertices) for eid, star in family]
         for family in r.families
     ]
-    for n, family in enumerate(pushed):
-        pair = _least_overlap(stage, [core for _, core in family])
+    for n, family in enumerate(r.families):
+        pair = sweep_least_overlap([star for _, star in family])
         if pair is not None:
             return RefinementReport(
                 False,
@@ -430,6 +429,59 @@ def reference_unindexed_delta(cs, kappa=None) -> frozenset:
                 if all(len(set(sub) & members) <= 1 for members in member_sets):
                     out.add(frozenset(sub))
     return frozenset(out)
+
+
+# -- sorted-scan oracles ------------------------------------------------------
+# Canonical images, the selection witness and carrier monotonicity as they
+# were decided before the library read images off the hit index, sorted
+# only the unsound simplices and checked codimension-one faces alone.
+
+
+def reference_canonical_images(cs, kappa=None) -> dict:
+    """Each working vertex -> the first (id, n) in (level, id) order among
+    the first kappa levels whose core holds it."""
+    kappa = _check_kappa(cs, kappa)
+    order = sorted(
+        ((eid, n, star.core_vertices) for eid, n, star in cs.elements(kappa)),
+        key=lambda e: (e[1], e[0]),
+    )
+    return {
+        v: next((eid, n) for eid, n, core in order if v in core)
+        for v in cs.working_complex().vertices
+    }
+
+
+def reference_why_not_selection(f, cs, kappa=None):
+    """The selection witness of a map on a stage of the cover's space: the
+    first violation met scanning every source simplex in `simplex_key`
+    order and its images in (level, id) order."""
+    kappa = _check_kappa(cs, kappa)
+    cores = {
+        (eid, n): push_star(star, f.subdivision_level).core_vertices
+        for eid, n, star in cs.elements(kappa)
+    }
+    for tau in sorted(f.map.source.simplices, key=simplex_key):
+        for element in sorted(f.map.image(tau), key=lambda e: (e[1], e[0])):
+            if element not in cores:
+                raise UnknownCoverElement(f"image {element!r} names no cover element")
+            if not (tau & cores[element]):
+                return {
+                    "simplex": sorted(vlabel(v) for v in tau),
+                    "element": list(element),
+                    "reason": "simplex misses the core of an element it maps to",
+                }
+    return None
+
+
+def reference_carrier_monotone(stage, table) -> bool:
+    """True iff table[tau] is a subcomplex of table[sigma] for every face
+    inclusion tau < sigma, testing every pair of stage simplices."""
+    return all(
+        table[tau].subcomplex_of(table[sigma])
+        for tau in stage.simplices
+        for sigma in stage.simplices
+        if tau < sigma
+    )
 
 
 # -- search oracle ------------------------------------------------------------

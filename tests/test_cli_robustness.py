@@ -34,7 +34,7 @@ DOCUMENTED_STDERR = re.compile(
 )
 
 # Commands whose --kappa is a prefix length of the cover.  The skeletal
-# predicate reads every level and ignores --kappa.
+# predicate reads every level and refuses --kappa.
 PREFIX_KAPPA = {"nerve", "delta", "canonical", "selection", "extract"}
 
 
@@ -103,7 +103,7 @@ def kappa_variants(argv):
     """argv with --kappa 0 and one past the cover's levels, where --kappa
     is a prefix length."""
     command = argv[1] if argv[0] == "crefine" else argv[0]
-    if command not in PREFIX_KAPPA | {"search"} or "skeletal" in argv:
+    if command not in PREFIX_KAPPA | {"search"}:
         return []
     base = list(argv)
     if "--kappa" in base:

@@ -86,6 +86,22 @@ CASES = {
         ],
         "predicate_result",
     ),
+    "selection-skeletal-kappa": (
+        [
+            "selection",
+            "--cover",
+            "skeletal.cover.json",
+            "--map",
+            "skeletal.map.json",
+            "--predicate",
+            "skeletal",
+            "--tables",
+            "skeletal.tables.json",
+            "--kappa",
+            "1",
+        ],
+        None,
+    ),
     "construct": (
         ["crefine", "construct", "--cover", "tri3.cover.json", "--n", "2"],
         "refinement",

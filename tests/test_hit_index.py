@@ -113,10 +113,34 @@ def test_least_overlap_matches_sweep():
         stage = cs.working_complex()
         for family in cs.levels:
             stars = [star for _, star in family]
-            pair = _least_overlap(stage, [star.core_vertices for star in stars])
-            assert pair == sweep_least_overlap(stars)
+            pair = sweep_least_overlap(stars)
+            got = _least_overlap(stage, [[star.core_vertices for star in stars]])
+            assert got == (None if pair is None else (0, *pair))
             pairs.add(pair)
     assert {None, (0, 1), (0, 2)} <= pairs
+
+
+def test_least_overlap_over_all_families_matches_sweep():
+    """One pass over every family's cores names the least family with an
+    overlapping pair and that family's least pair.  A one-element family
+    copied from the last level goes first, so pairs across families, which
+    never count, are always present."""
+    found = set()
+    for cs in seeded_covers(17):
+        stage = cs.working_complex()
+        families = [[cs.levels[-1][0][1]]] + [
+            [star for _, star in family] for family in cs.levels
+        ]
+        expected = None
+        for n, stars in enumerate(families):
+            pair = sweep_least_overlap(stars)
+            if pair is not None:
+                expected = (n, *pair)
+                break
+        cores = [[star.core_vertices for star in stars] for stars in families]
+        assert _least_overlap(stage, cores) == expected
+        found.add(None if expected is None else expected[0])
+    assert {None, 1, 2} <= found
 
 
 def test_least_overlap_prefers_the_least_of_several_pairs():
@@ -124,6 +148,16 @@ def test_least_overlap_prefers_the_least_of_several_pairs():
     stage = space.stage_complex(0)
     a, b, c = (frozenset(v) for v in "abc")
     for cores in itertools.permutations([a, b, c, a | b]):
-        assert _least_overlap(stage, list(cores)) == (0, 1)
-    assert _least_overlap(stage, [a, b]) == (0, 1)
-    assert _least_overlap(stage, [a, frozenset("x"), b]) == (0, 2)
+        assert _least_overlap(stage, [list(cores)]) == (0, 0, 1)
+    assert _least_overlap(stage, [[a, b]]) == (0, 0, 1)
+    assert _least_overlap(stage, [[a, frozenset("x"), b]]) == (0, 0, 2)
+
+
+def test_least_overlap_takes_the_least_family_and_no_pair_across_families():
+    space = PolyhedralSpace(validate_complex([{"a", "b", "c"}]))
+    stage = space.stage_complex(0)
+    a, b, c = (frozenset(v) for v in "abc")
+    assert _least_overlap(stage, [[a], [a], [a | b], [b]]) is None
+    assert _least_overlap(stage, [[], [a], [b, c], [a, b]]) == (2, 0, 1)
+    assert _least_overlap(stage, [[c], [a, b, c], [a, b]]) == (1, 0, 1)
+    assert _least_overlap(stage, []) is None

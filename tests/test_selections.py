@@ -33,20 +33,32 @@ from polycover import (
     vertex_selection,
     vlabel,
     why_not_canonical,
+    why_not_selection,
 )
+from polycover.complexes import SimplicialComplex, simplex_key, simplex_label
 from polycover.covers import DELTA, FULL_NERVE
 from polycover.errors import (
     ArityError,
     ComposeError,
     DisjointnessRequired,
     EmptyValue,
+    IncompleteMap,
     NoConeWitness,
     NoCoverage,
     NotCanonical,
     SkeletonViolation,
+    UnknownCoverElement,
     WitnessFailure,
 )
-from polycover.fixtures import edge_space, rem_cover
+from polycover.fixtures import boundary_space, edge_space, rem_cover, tri_space
+
+from helpers import (
+    random_cover,
+    random_disjoint_cover,
+    reference_canonical_images,
+    reference_carrier_monotone,
+    reference_why_not_selection,
+)
 
 
 def fs(*vs):
@@ -477,3 +489,126 @@ class TestSkeletalSelections:
         cs, f = bootstrap_skeletal_selection(phi)
         with pytest.raises(ArityError):
             extend_skeletal_selection(f, cs, phi)
+
+
+def _outcome(predicate, f, cs, kappa):
+    """A witness (or None), or the type and message of the error raised."""
+    try:
+        return predicate(f, cs, kappa)
+    except (IncompleteMap, UnknownCoverElement) as err:
+        return type(err).__name__, str(err)
+
+
+def _discrete(names) -> SimplicialComplex:
+    return SimplicialComplex(frozenset(fs(x) for x in names))
+
+
+class TestAgainstSortedScans:
+    """Canonical images, selection witnesses and carrier monotonicity
+    against the whole-stage scans in `tests/helpers.py`."""
+
+    def test_canonical_images_are_the_least_hit_elements(self):
+        rng = random.Random(20261018)
+        built = 0
+        for _ in range(60):
+            space = rng.choice([edge_space(), boundary_space(), tri_space()])
+            disjoint = rng.random() < 0.5
+            make = random_disjoint_cover if disjoint else random_cover
+            cs = make(space, rng, rng.randint(0, 2), rng.randint(1, 3))
+            for kappa in range(1, cs.num_levels + 1):
+                try:
+                    f = build_canonical(cs, kappa, DELTA if disjoint else FULL_NERVE)
+                except NoCoverage:
+                    continue
+                assert f.map.vertex_images == reference_canonical_images(cs, kappa)
+                built += 1
+        assert built > 60
+
+    def test_why_not_selection_matches_sorted_scan(self):
+        """Corrupted canonical maps: a dropped image, an unknown element, or
+        another element; the kappa prefix may also leave an image unknown."""
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(200):
+            space = rng.choice([edge_space(), boundary_space(), tri_space()])
+            cs = random_cover(space, rng, rng.randint(0, 2), rng.randint(1, 3))
+            h = build_canonical(cs, target_kind=FULL_NERVE)
+            images = dict(h.map.vertex_images)
+            elements = [(eid, n) for eid, n, _ in cs.elements()]
+            for v in rng.sample(sorted(images, key=vlabel), rng.randint(0, 2)):
+                roll = rng.random()
+                if roll < 0.15:
+                    del images[v]
+                elif roll < 0.3:
+                    images[v] = ("zz", rng.randrange(cs.num_levels))
+                else:
+                    images[v] = rng.choice(elements)
+            f = CanonicalMap(
+                h.subdivision_level,
+                SimplicialMap(h.map.source, h.map.target, images),
+                h.target,
+            )
+            kappa = rng.choice([None, rng.randint(1, cs.num_levels)])
+            got = _outcome(why_not_selection, f, cs, kappa)
+            assert got == _outcome(reference_why_not_selection, f, cs, kappa)
+            outcomes.add(got[0] if isinstance(got, tuple) else type(got).__name__)
+        assert outcomes == {"NoneType", "dict", "IncompleteMap", "UnknownCoverElement"}
+
+    def test_monotonicity_matches_all_pairs_scan(self):
+        """Random monotone tables, some with one value grown or shrunk."""
+        rng = random.Random(3)
+        names = [f"x{i}" for i in range(5)]
+        target = _discrete(names)
+        verdicts = []
+        for _ in range(120):
+            space = rng.choice([edge_space(), boundary_space(), tri_space()])
+            level = rng.randint(0, 2)
+            stage = space.stage_complex(level)
+            own = {tau: rng.sample(names, rng.randint(0, 2)) for tau in stage.simplices}
+            table = {
+                tau: _discrete(
+                    {"x0"}.union(*(own[rho] for rho in stage.simplices if rho <= tau))
+                )
+                for tau in stage.simplices
+            }
+            if rng.random() < 0.7:
+                tau = rng.choice(sorted(stage.simplices, key=simplex_key))
+                values = set(table[tau].vertices)
+                if rng.random() < 0.5:
+                    values.add(rng.choice(names))
+                elif len(values) > 1:
+                    values.remove(rng.choice(sorted(values)))
+                table[tau] = _discrete(values)
+            monotone = reference_carrier_monotone(stage, table)
+            verdicts.append(monotone)
+            if monotone:
+                carrier_tables(space, level, target, [table])
+            else:
+                with pytest.raises(ValueError, match="carrier-monotone"):
+                    carrier_tables(space, level, target, [table])
+        assert set(verdicts) == {True, False}
+
+    def test_every_codimension_one_inclusion_is_checked(self):
+        """value(sigma) holds one target vertex per face of sigma; leaving
+        the vertex of one codimension-one face out of value(tau) breaks
+        monotonicity at that one inclusion only."""
+        for space in (edge_space(), boundary_space(), tri_space()):
+            for level in (0, 1):
+                stage = space.stage_complex(level)
+                names = {rho: simplex_label(rho) for rho in stage.simplices}
+                table = {
+                    sigma: _discrete(names[rho] for rho in stage.simplices if rho <= sigma)
+                    for sigma in stage.simplices
+                }
+                target = _discrete(names.values())
+                carrier_tables(space, level, target, [table])
+                for tau in stage.simplices:
+                    for v in tau if len(tau) > 1 else ():
+                        broken = dict(table)
+                        broken[tau] = _discrete(
+                            names[rho] for rho in stage.simplices
+                            if rho <= tau and rho != tau - {v}
+                        )
+                        assert not reference_carrier_monotone(stage, broken)
+                        with pytest.raises(ValueError, match="carrier-monotone"):
+                            carrier_tables(space, level, target, [broken])
