@@ -67,6 +67,15 @@ class SimplicialComplex:
             out.update(s)
         return frozenset(out)
 
+    @cached_property
+    def neighbours(self) -> dict:
+        """Each vertex -> the vertices joined to it by an edge."""
+        out: dict = {v: set() for v in self.vertices}
+        for u, w in (s for s in self.simplices if len(s) == 2):
+            out[u].add(w)
+            out[w].add(u)
+        return out
+
     @property
     def dim(self) -> int:
         """Max simplex cardinality minus one; -1 for the empty complex."""

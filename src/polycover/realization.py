@@ -10,9 +10,10 @@ level, never the reverse.
 At one level, a star-set contains the open star of a vertex v exactly when
 v is in its core, because {v} is itself a simplex of the stage.  So
 containment and equality of star-sets are containment and equality of
-their cores; only disjointness needs a look at the stage, through the
-hit sets of `_hits`: the cores each stage simplex meets.  Pushdown
-sweeps whole stages, so callers push each star-set to a common level once.
+their cores.  Two star-sets meet iff their cores share a vertex or a stage
+edge joins them: a stage simplex meeting both holds u in one core, w in
+the other, and the face {u, w}.  Pushdown sweeps whole stages, so callers
+push each star-set to a common level once.
 """
 
 from __future__ import annotations
@@ -271,9 +272,9 @@ def star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
 
     Decided at a common level, where a star-set is the union of the
     interiors of the simplices meeting its core.  Equality and containment
-    follow from the cores alone (see the module docstring).  Otherwise
-    each side has points outside the other, and the two overlap iff some
-    stage simplex meets both cores.
+    follow from the cores alone (see the module docstring).  Otherwise the
+    two overlap iff the cores share a vertex or an edge joins them: a
+    simplex meeting both holds u in one, w in the other, and the face {u, w}.
     """
     if s1.space != s2.space:
         raise ValueError("star-sets live on different spaces")
@@ -286,13 +287,18 @@ def star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
         return StarRelation.S1_SUBSET_S2
     if b <= a:
         return StarRelation.S2_SUBSET_S1
-    if any(s & a and s & b for s in s1.space.stage_complex(level).simplices):
-        return StarRelation.OVERLAPPING
-    return StarRelation.DISJOINT
+    overlap = not b.isdisjoint(_near(s1.space.stage_complex(level).neighbours, a))
+    return StarRelation.OVERLAPPING if overlap else StarRelation.DISJOINT
+
+
+def _near(adj: dict, core) -> set:
+    """The stage vertices in core or joined to it by an edge of `adj`: a core
+    meets some stage simplex that meets this one iff it meets this set."""
+    return (adj.keys() & core).union(*(adj.get(u, ()) for u in core))
 
 
 def _hits(stage: SimplicialComplex, cores: list) -> dict:
-    """Each stage simplex -> the ascending indices of the cores it meets.
+    """Each stage simplex -> the indices of the cores it meets.
 
     A simplex meets a core iff one of its vertices lies in it, so one
     vertex -> core index answers every simplex without testing each core.
@@ -301,21 +307,21 @@ def _hits(stage: SimplicialComplex, cores: list) -> dict:
     for i, core in enumerate(cores):
         for v in core:
             at.setdefault(v, []).append(i)
-    return {
-        s: tuple(sorted({i for v in s for i in at.get(v, ())}))
-        for s in stage.simplices
-    }
+    return {s: frozenset(i for v in s for i in at.get(v, ())) for s in stage.simplices}
 
 
 def _least_overlap(stage: SimplicialComplex, families: list) -> tuple | None:
     """The least (n, i, j), i < j, such that star-sets i and j of family n
-    overlap at this stage, or None.  Two star-sets overlap iff some stage
-    simplex meets both cores, and a family's least pair in a hit set is
-    adjacent there, so one hit index over all families answers them all."""
-    owner = [(n, i) for n, cores in enumerate(families) for i in range(len(cores))]
-    hits = _hits(stage, [core for cores in families for core in cores]).values()
-    pairs = ((owner[a], owner[b]) for h in hits for a, b in zip(h, h[1:]))
-    return min(((n, i, j) for (n, i), (m, j) in pairs if n == m), default=None)
+    overlap at this stage, or None.  A pass from the last core down keeps,
+    for each vertex, the least later core whose `_near` set holds it."""
+    found = []
+    for n, cores in enumerate(families):
+        reach: dict = {}
+        for i in reversed(range(len(cores))):
+            later = [reach[v] for v in cores[i] if v in reach]
+            found.extend((n, i, j) for j in later)
+            reach.update(dict.fromkeys(_near(stage.neighbours, cores[i]), i))
+    return min(found, default=None)
 
 
 def star_subset(s1: StarSet, s2: StarSet) -> bool:

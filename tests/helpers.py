@@ -187,9 +187,9 @@ def random_cover(space: PolyhedralSpace, rng, level: int, num_levels: int,
 
 
 # -- stage-sweep oracles ------------------------------------------------------
-# The library decides star-set relations from cores alone; these decide them
-# by classifying every simplex of the common stage, as the first versions of
-# the library did.
+# The library decides star-set relations from cores and the stage's
+# 1-skeleton; these decide them by classifying every simplex of the common
+# stage, as the first versions of the library did.
 
 
 def sweep_star_relation(s1: StarSet, s2: StarSet) -> StarRelation:

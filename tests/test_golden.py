@@ -182,6 +182,30 @@ CASES = {
         None,
     ),
     "mu-driver-tet": (["mu-driver", "--mode", "dim:3", "tet1.cover.json"], "mu_report"),
+    "construct-tet": (
+        ["crefine", "construct", "--cover", "tet1.cover.json", "--n", "3"],
+        "refinement",
+    ),
+    "construct-tet-too-few": (
+        ["crefine", "construct", "--cover", "tet1.cover.json", "--n", "2"],
+        None,
+    ),
+    "verify-tet-ok": (
+        ["crefine", "verify", "--cover", "tet1.cover.json", "--refinement", "tet1.refinement.json"],
+        "predicate_result",
+    ),
+    # the two overlapping stars share no vertex: a stage edge joins them
+    "verify-tet-overlap": (
+        [
+            "crefine",
+            "verify",
+            "--cover",
+            "tet1.cover.json",
+            "--refinement",
+            "tet1_overlap.refinement.json",
+        ],
+        "predicate_result",
+    ),
     "nerve-kappa-beyond-levels": (
         ["nerve", "--cover", "rem.cover.json", "--kappa", "4"],
         None,
@@ -217,6 +241,8 @@ INPUT_SCHEMAS = {
     "skeletal.map.json": None,
     "skeletal.tables.json": "carrier_tables",
     "tet1.cover.json": "cover_sequence",
+    "tet1.refinement.json": "refinement",
+    "tet1_overlap.refinement.json": "refinement",
     "tri.complex.json": "complex",
     "tri1.cover.json": "cover_sequence",
     "tri2.cover.json": "cover_sequence",

@@ -34,7 +34,7 @@ from polycover.errors import (
     LevelBudgetExceeded,
     LevelMismatch,
 )
-from polycover.fixtures import boundary_space, edge_space, rem_cover, tri_space
+from polycover.fixtures import boundary_space, edge_space, rem_cover, tet_space, tri_space
 from polycover.realization import PolyhedralSpace, _least_overlap, _subdivision_size
 
 from helpers import (
@@ -256,13 +256,13 @@ def _related_star(s: StarSet, rng, level: int) -> StarSet:
     return StarSet(s.space, level, frozenset(core))
 
 
-def test_core_rule_matches_stage_sweep_oracles():
-    rng = random.Random(20261018)
-    spaces = [edge_space(), boundary_space(), tri_space()]
+def _relations_against_sweeps(spaces, top: int, rng, rounds: int) -> set:
+    """Compare relations, subsets and least overlaps of random star-sets at
+    levels 0..top with the stage sweeps; returns the relations seen."""
     relations = set()
-    for _ in range(150):
+    for _ in range(rounds):
         space = rng.choice(spaces)
-        l1, l2 = sorted((rng.randint(0, 3), rng.randint(0, 3)))
+        l1, l2 = sorted((rng.randint(0, top), rng.randint(0, top)))
         s1 = _random_star(space, rng, l1)
         s2 = _related_star(s1, rng, l2) if rng.random() < 0.5 else _random_star(space, rng, l2)
         if rng.random() < 0.5:
@@ -281,7 +281,13 @@ def test_core_rule_matches_stage_sweep_oracles():
         assert _least_overlap(stage, [cores]) == (
             None if expected is None else (0, *expected)
         )
-    assert relations == set(StarRelation)
+    return relations
+
+
+def test_core_rule_matches_stage_sweep_oracles():
+    rng = random.Random(20261018)
+    spaces = [edge_space(), boundary_space(), tri_space()]
+    assert _relations_against_sweeps(spaces, 3, rng, 150) == set(StarRelation)
 
     for _ in range(12):
         space = rng.choice(spaces)
@@ -296,6 +302,58 @@ def test_core_rule_matches_stage_sweep_oracles():
             ids = [cs.levels[0][k][0] for k in pair]
             with pytest.raises(DisjointnessRequired, match=f"'{ids[0]}' and '{ids[1]}' at level 0"):
                 build_canonical(cs)
+
+
+def test_neighbours_are_the_stage_edges():
+    for space in (edge_space(), tri_space(), tet_space()):
+        for level in range(3):
+            stage = space.stage_complex(level)
+            edges = {s for s in stage.simplices if len(s) == 2}
+            assert set(stage.neighbours) == stage.vertices
+            for v, near in stage.neighbours.items():
+                assert near == {w for w in stage.vertices if fs(v, w) in edges}
+
+
+def _edge_and_distance_two(stage, rng) -> tuple:
+    """Stage vertices u, w, x with {u, w} and {w, x} edges and {u, x} not one:
+    the open stars of u and x miss each other though both meet w's."""
+    adj = stage.neighbours
+    by_label = sorted(stage.vertices, key=vlabel)
+    while True:
+        w = rng.choice(by_label)
+        near = sorted(adj[w], key=vlabel)
+        far = [(u, x) for u in near for x in near if x != u and x not in adj[u]]
+        if far:
+            u, x = rng.choice(far)
+            return u, w, x
+
+
+def test_edge_joined_cores_overlap_and_distance_two_cores_do_not():
+    """Cores that share no vertex overlap iff an edge joins them; a common
+    neighbour is not enough."""
+    rng = random.Random(8101)
+    for space in (tri_space(), tet_space()):
+        for level in (1, 2):
+            stage = space.stage_complex(level)
+            for _ in range(6):
+                u, w, x = _edge_and_distance_two(stage, rng)
+                su, sw, sx = (StarSet(space, level, fs(v)) for v in (u, w, x))
+                assert star_relation(su, sw) is StarRelation.OVERLAPPING
+                assert star_relation(su, sx) is StarRelation.DISJOINT
+                assert sweep_star_relation(su, sw) is StarRelation.OVERLAPPING
+                assert sweep_star_relation(su, sx) is StarRelation.DISJOINT
+                # two vertices, neither of them w, each an edge away from it
+                grown = StarSet(space, level, fs(u, x))
+                assert star_relation(grown, sw) is StarRelation.OVERLAPPING
+                assert _least_overlap(stage, [[fs(u), fs(x)]]) is None
+                assert _least_overlap(stage, [[fs(u), fs(x), fs(w)]]) == (0, 0, 2)
+                assert _least_overlap(stage, [[fs(x)], [fs(u), fs(w)]]) == (1, 0, 1)
+
+
+def test_tetrahedron_relations_match_stage_sweep_oracles():
+    """The tetrahedron at stages 0-2, the two star-sets at mixed levels."""
+    rng = random.Random(8102)
+    assert _relations_against_sweeps([tet_space()], 2, rng, 60) == set(StarRelation)
 
 
 def test_next_stage_size_is_exact():
