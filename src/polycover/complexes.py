@@ -4,7 +4,9 @@ barycentric subdivision, and simplicial maps.
 Vertices are opaque hashable ids.  Simplices are nonempty frozensets of
 vertex ids, and a complex stores the full face-closed family.  Subdivision
 vertices are `Barycenter` tokens naming the simplex they subdivide, so
-stages are reproducible and maps across stages are well-defined.
+stages are reproducible and maps across stages are well-defined.  A tower
+makes each token once, one per parent simplex, and every chain shares it;
+a token's label is built once, from its members' labels, and kept on it.
 """
 
 from __future__ import annotations
@@ -26,14 +28,18 @@ class Barycenter:
 
     of: Simplex
 
+    @cached_property
+    def label(self) -> str:
+        return "b(" + ",".join(sorted(map(vlabel, self.of))) + ")"
+
     def __repr__(self) -> str:
-        return vlabel(self)
+        return self.label
 
 
 def vlabel(v) -> str:
     """Canonical printable label of a vertex id (injective per stage)."""
     if isinstance(v, Barycenter):
-        return "b(" + ",".join(sorted(vlabel(u) for u in v.of)) + ")"
+        return v.label
     if isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], int):
         return f"{v[0]}@{v[1]}"
     return str(v)
@@ -75,6 +81,25 @@ class SimplicialComplex:
             out[u].add(w)
             out[w].add(u)
         return out
+
+    @cached_property
+    def stars(self) -> dict:
+        """Each vertex -> the simplices that contain it."""
+        out: dict = {v: [] for v in self.vertices}
+        for s in self.simplices:
+            for v in s:
+                out[v].append(s)
+        return out
+
+    @cached_property
+    def by_label(self) -> dict:
+        """Each vertex label -> its vertex."""
+        return {vlabel(v): v for v in self.vertices}
+
+    @cached_property
+    def barycenters(self) -> dict:
+        """Each simplex -> its Barycenter token, the next stage's vertex."""
+        return {s: Barycenter(s) for s in self.simplices}
 
     @property
     def dim(self) -> int:
@@ -220,19 +245,17 @@ def subdivide(stage: SubdivisionStage) -> SubdivisionStage:
     New simplices are exactly the chains s0 ⊂ s1 ⊂ … ⊂ sk of current-stage
     simplices, each chain member replaced by its Barycenter token.
     """
-    current = sorted(stage.complex.simplices, key=len)
+    tokens = stage.complex.barycenters
     chains_ending: dict = {}
-    for s in current:
-        ending = [(s,)]
+    for s in sorted(tokens, key=len):
+        b = tokens[s]
+        ending = [(b,)]
         for r in range(1, len(s)):
             for sub in itertools.combinations(s, r):
-                t = frozenset(sub)
-                ending.extend(ch + (s,) for ch in chains_ending[t])
+                ending.extend(ch + (b,) for ch in chains_ending[frozenset(sub)])
         chains_ending[s] = ending
 
     chains = (ch for ending in chains_ending.values() for ch in ending)
-    new_simplices = {frozenset(Barycenter(s) for s in ch) for ch in chains}
-    carriers = {Barycenter(s): s for s in stage.complex.simplices}
-    return SubdivisionStage(
-        stage.level + 1, SimplicialComplex(frozenset(new_simplices)), carriers
-    )
+    new_simplices = frozenset(map(frozenset, chains))
+    carriers = {b: s for s, b in tokens.items()}
+    return SubdivisionStage(stage.level + 1, SimplicialComplex(new_simplices), carriers)

@@ -148,10 +148,11 @@ def _check_kappa(cs: CoverSequence, kappa: int | None) -> int:
 def _hit_sets(cs: CoverSequence) -> dict:
     """Each working-stage simplex tau -> the (id, n) of every level whose
     core meets tau: the kernel of a vertex set contains the interior of
-    tau iff the set lies in tau's hit set."""
+    tau iff the set lies in tau's hit set.  Equal hit sets are one object."""
     elements = list(cs.elements())
     hits = _hits(cs.working_complex(), [star.core_vertices for *_, star in elements])
-    return {tau: frozenset(elements[i][:2] for i in h) for tau, h in hits.items()}
+    named = {h: frozenset(elements[i][:2] for i in h) for h in set(hits.values())}
+    return {tau: named[h] for tau, h in hits.items()}
 
 
 def _kernel_carriers(cs: CoverSequence, sigma) -> list:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .complexes import Barycenter, check_simplicial_map, simplex_key, vlabel
+from .complexes import check_simplicial_map, simplex_key, vlabel
 from .covers import (
     DELTA,
     CoverSequence,
@@ -152,7 +152,7 @@ def ostrand_refine(
         for s in sorted(
             (s for s in stage.simplices if len(s) == k + 1), key=simplex_key
         ):
-            b = Barycenter(s)
+            b = stage.barycenters[s]
             row.append((vlabel(b), StarSet(space, mstar, frozenset([b]))))
         families.append(tuple(row))
     return CRefinement(tuple(families), n + 1, cs)
@@ -207,13 +207,8 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     index = {v: i for i, v in enumerate(verts)}
     nv = len(verts)
 
-    adj = [0] * nv
-    for s in stage.simplices:
-        bits = 0
-        for v in s:
-            bits |= 1 << index[v]
-        for v in s:
-            adj[index[v]] |= bits
+    # Two stage vertices share a simplex iff they share an edge.
+    adj = [sum(1 << index[w] for w in stage.neighbours[v]) for v in verts]
 
     padded = pad_levels(cs, kappa)
     cores = [
@@ -351,10 +346,13 @@ def search_c_refinement(
     """Scan subdivision levels for a kappa-family refinement certificate.
 
     Returns the first certificate found, or model-relative exhaustion at
-    `max_level` with the full per-level enumeration audit.
+    `max_level` with the full per-level enumeration audit.  An empty range
+    of levels (`max_level` below `min_level`) raises InvalidArgument.
     """
     if kappa < 1:
         raise InvalidArgument("kappa must be at least 1")
+    if max_level < min_level:
+        raise InvalidArgument(f"no levels from {min_level} up to {max_level}")
     audits = []
     for level in range(min_level, max_level + 1):
         refinement, audit = _search_at_level(cs, kappa, level)

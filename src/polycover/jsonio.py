@@ -309,15 +309,14 @@ def delta_map_from_json(
 ) -> SimplicialMap:
     obj = _expect_obj(data, path)
     rows = _expect_list(obj.get("vertex_images"), f"{path}.vertex_images")
-    by_label = {vlabel(v): v for v in target.vertices}
     images = {}
     for i, row in enumerate(rows):
         here = f"{path}.vertex_images[{i}]"
         row = _expect_obj(row, here)
         vertex = _pair_from_json(row.get("vertex"), f"{here}.vertex")
         name = _expect_str(row.get("image"), f"{here}.image")
-        _expect(name in by_label, f"{here}.image", "names no target vertex")
-        images[vertex] = by_label[name]
+        _expect(name in target.by_label, f"{here}.image", "names no target vertex")
+        images[vertex] = target.by_label[name]
     source = delta_subcomplex(cs, cs.num_levels).complex
     return SimplicialMap(source, target, images)
 

@@ -12,8 +12,8 @@ v is in its core, because {v} is itself a simplex of the stage.  So
 containment and equality of star-sets are containment and equality of
 their cores.  Two star-sets meet iff their cores share a vertex or a stage
 edge joins them: a stage simplex meeting both holds u in one core, w in
-the other, and the face {u, w}.  Pushdown sweeps whole stages, so callers
-push each star-set to a common level once.
+the other, and the face {u, w}.  Pushing a star-set one level down reads
+the simplices containing each core vertex off the stage's `stars` index.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .complexes import (
-    Barycenter,
     SimplicialComplex,
     SimplicialMap,
     SubdivisionStage,
@@ -71,7 +70,6 @@ class PolyhedralSpace:
     def __init__(self, base: SimplicialComplex):
         self.base = base
         self._stages: list[SubdivisionStage] = [initial_stage(base)]
-        self._labels: list[dict] = []
 
     def stage(self, level: int) -> SubdivisionStage:
         if level < 0:
@@ -97,13 +95,8 @@ class PolyhedralSpace:
 
     def vertex_named(self, level: int, label: str):
         """Resolve a printable vertex label at the given stage."""
-        while len(self._labels) <= level:
-            lv = len(self._labels)
-            self._labels.append(
-                {vlabel(v): v for v in self.stage(lv).complex.vertices}
-            )
         try:
-            return self._labels[level][label]
+            return self.stage_complex(level).by_label[label]
         except KeyError:
             raise ValueError(f"no vertex labelled {label!r} at level {level}") from None
 
@@ -187,6 +180,7 @@ def push_point(
     q = p
     for level in range(p.level, target_level):
         carrier(q)
+        tokens = space.stage_complex(level).barycenters
         items = sorted(q.coords.items(), key=lambda vc: -vc[1])
         items = [(v, c) for v, c in items if c > 0]
         coords = {}
@@ -196,7 +190,7 @@ def push_point(
             nxt = items[i + 1][1] if i + 1 < len(items) else Fraction(0)
             weight = (c - nxt) * (i + 1)
             if weight > 0:
-                coords[Barycenter(frozenset(prefix))] = weight
+                coords[tokens[frozenset(prefix)]] = weight
         q = BarycentricPoint(level + 1, coords, space.stage_complex(level + 1))
     return q
 
@@ -252,10 +246,8 @@ def push_star(s: StarSet, target_level: int) -> StarSet:
         raise CannotCoarsen("star-sets can only be pushed to finer levels")
     core = s.core_vertices
     for level in range(s.level, target_level):
-        stage = s.space.stage(level)
-        core = frozenset(
-            Barycenter(t) for t in stage.complex.simplices if t & core
-        )
+        stage = s.space.stage_complex(level)
+        core = frozenset(stage.barycenters[t] for v in core for t in stage.stars[v])
     return StarSet(s.space, target_level, core)
 
 
@@ -302,12 +294,18 @@ def _hits(stage: SimplicialComplex, cores: list) -> dict:
 
     A simplex meets a core iff one of its vertices lies in it, so one
     vertex -> core index answers every simplex without testing each core.
+    Few hit sets are distinct; simplices with equal ones share one object.
     """
     at: dict = {}
     for i, core in enumerate(cores):
         for v in core:
             at.setdefault(v, []).append(i)
-    return {s: frozenset(i for v in s for i in at.get(v, ())) for s in stage.simplices}
+    shared: dict = {}
+    out = {}
+    for s in stage.simplices:
+        hit = frozenset(i for v in s for i in at.get(v, ()))
+        out[s] = shared.setdefault(hit, hit)
+    return out
 
 
 def _least_overlap(stage: SimplicialComplex, families: list) -> tuple | None:

@@ -25,7 +25,7 @@ from polycover import (
     star_subset,
     vlabel,
 )
-from polycover.complexes import SimplicialComplex, simplex_key
+from polycover.complexes import Barycenter, SimplicialComplex, simplex_key
 from polycover.covers import _check_kappa
 from polycover.dimension import SearchAudit
 from polycover.errors import NotARefinement, UnknownCarrier, UnknownCoverElement
@@ -189,15 +189,38 @@ def random_cover(space: PolyhedralSpace, rng, level: int, num_levels: int,
 # -- stage-sweep oracles ------------------------------------------------------
 # The library decides star-set relations from cores and the stage's
 # 1-skeleton; these decide them by classifying every simplex of the common
-# stage, as the first versions of the library did.
+# stage, as the first versions of the library did.  They push star-sets by
+# sweeping whole stages too, not through the library's star index.
+
+
+def reference_vlabel(v) -> str:
+    """A vertex label rebuilt recursively through every level, with no
+    memo: the library keeps each token's label on the token instead."""
+    if isinstance(v, Barycenter):
+        return "b(" + ",".join(sorted(reference_vlabel(u) for u in v.of)) + ")"
+    if isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], int):
+        return f"{v[0]}@{v[1]}"
+    return str(v)
+
+
+def reference_push_star(s: StarSet, target_level: int) -> StarSet:
+    """The star-set at a finer level by sweeping each stage on the way: a
+    vertex star is the union of the next-level stars of the barycenters of
+    every simplex meeting the core."""
+    core = s.core_vertices
+    for level in range(s.level, target_level):
+        core = frozenset(
+            Barycenter(t) for t in s.space.stage_complex(level).simplices if t & core
+        )
+    return StarSet(s.space, target_level, core)
 
 
 def sweep_star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
     """Relation of two star-sets from which stage simplices meet which core:
     a star-set is the union of the interiors of the simplices meeting it."""
     level = max(s1.level, s2.level)
-    a = push_star(s1, level).core_vertices
-    b = push_star(s2, level).core_vertices
+    a = reference_push_star(s1, level).core_vertices
+    b = reference_push_star(s2, level).core_vertices
     both = only_a = only_b = False
     for s in s1.space.stage_complex(level).simplices:
         in_a = bool(s & a)
@@ -237,7 +260,8 @@ def sweep_fine_enough(cs, families: int, level: int) -> bool:
     for k in range(families):
         fitting: set = set()
         for _, star in padded.levels[k]:
-            fitting.update(sweep_shrunk(stage, push_star(star, level).core_vertices))
+            core = reference_push_star(star, level).core_vertices
+            fitting.update(sweep_shrunk(stage, core))
         if not stage.vertices <= fitting:
             return False
     return True

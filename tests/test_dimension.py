@@ -26,11 +26,12 @@ from polycover import (
     verify_c_refinement,
     vlabel,
 )
-from polycover.errors import DimensionTooLow, NoCoverage, NotARefinement
+from polycover.errors import DimensionTooLow, InvalidArgument, NoCoverage, NotARefinement
 from polycover.realization import PolyhedralSpace
 from polycover.fixtures import (
     boundary_space,
     edge_space,
+    tet_space,
     tri_space,
     vertex_star_cover,
 )
@@ -247,6 +248,7 @@ def test_search_walks_the_reference_tree():
         (tri_space, 2, 1, 0),
         (tri_space, 3, 2, 0),
         (tri_space, 3, 2, 2),
+        (tet_space, 2, 1, 0),
     ):
         cov = vertex_star_cover(space_fn(), kappa)
         _assert_walks_reference_tree(cov, kappa, max_level, min_level)
@@ -272,6 +274,15 @@ def test_search_walks_the_reference_tree():
         _assert_walks_reference_tree(mixed, 3, 2, 2)
     assert len(deep) == 25
     assert all(a.prunes > 0 and not a.found for a in deep)
+
+
+def test_search_over_no_levels_is_refused():
+    """An empty level range is a bad argument, not an exhausted search."""
+    cs = vertex_star_cover(tri_space(), 3)
+    assert search_c_refinement(cs, 3, 1, 1).status == "found"
+    for max_level, min_level in ((0, 2), (-1, 0), (1, 2)):
+        with pytest.raises(InvalidArgument):
+            search_c_refinement(cs, 3, max_level, min_level)
 
 
 def _corrupted(r, rng):

@@ -214,6 +214,26 @@ CASES = {
         ["crefine", "search", "--cover", "tri3.cover.json", "--kappa", "0", "--max-level", "1"],
         None,
     ),
+    # an empty range of levels is a bad argument, not an exhausted search
+    "search-empty-level-range": (
+        [
+            "crefine",
+            "search",
+            "--cover",
+            "tri1.cover.json",
+            "--kappa",
+            "3",
+            "--min-level",
+            "2",
+            "--max-level",
+            "0",
+        ],
+        None,
+    ),
+    "mu-driver-negative-max-level": (
+        ["mu-driver", "--mode", "dim:1", "--max-level", "-1", "tri2.cover.json"],
+        None,
+    ),
     "cone-extend-bad-witness": (["cone-extend", "cone_bad_witness.json"], None),
     "selection-negative-level": (
         ["selection", "--cover", "rem.cover.json", "--map", "negative_level.map.json"],

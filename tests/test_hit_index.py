@@ -10,17 +10,25 @@ import random
 
 from polycover import (
     PolyhedralSpace,
+    cover_sequence,
     delta_at_carrier,
     delta_subcomplex,
     kernel_query,
     maximal_simplices,
     nerve,
+    push_star,
     simplex_key,
     unindexed_delta,
     validate_complex,
 )
-from polycover.covers import _kernel_carriers
-from polycover.fixtures import boundary_space, edge_space, tet_space, tri_space
+from polycover.covers import _hit_sets, _kernel_carriers
+from polycover.fixtures import (
+    boundary_space,
+    edge_space,
+    tet_space,
+    tri_space,
+    vertex_star_cover,
+)
 from polycover.realization import _least_overlap
 
 from helpers import (
@@ -161,3 +169,13 @@ def test_least_overlap_takes_the_least_family_and_no_pair_across_families():
     assert _least_overlap(stage, [[], [a], [b, c], [a, b]]) == (2, 0, 1)
     assert _least_overlap(stage, [[c], [a, b, c], [a, b]]) == (1, 0, 1)
     assert _least_overlap(stage, []) is None
+
+
+def test_equal_hit_sets_are_one_object():
+    space = tet_space()
+    stars = vertex_star_cover(space).levels[0]
+    cs = cover_sequence(space, [[(eid, push_star(star, 2)) for eid, star in stars]] * 3)
+    hits = _hit_sets(cs)
+    assert len(hits) == len(space.stage_complex(2).simplices)
+    distinct = set(hits.values())
+    assert len({id(hit) for hit in hits.values()}) == len(distinct) == 15

@@ -1,0 +1,89 @@
+"""Stage tokens, labels, star pushdown and adjacency against stage sweeps.
+
+The library makes one `Barycenter` token per stage vertex, keeps its label
+on it, pushes star-sets through each stage's `stars` index, and the
+search reads which vertices share a simplex off `neighbours`.  The
+oracles in `helpers` rebuild labels recursively, push by sweeping every
+simplex of every stage, and collect each vertex's simplices by a sweep.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from polycover import StarSet, push_star, vlabel
+from polycover.fixtures import boundary_space, edge_space, tet_space, tri_space
+
+from helpers import adjacency, reference_push_star, reference_vlabel
+
+# (space, deepest stage checked)
+SPACES = {
+    "edge": (edge_space, 3),
+    "boundary": (boundary_space, 3),
+    "triangle": (tri_space, 3),
+    "tetrahedron": (tet_space, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SPACES))
+def tower(request):
+    make, top = SPACES[request.param]
+    space = make()
+    space.stage(top)
+    return space, top
+
+
+def test_one_token_object_per_stage_vertex(tower):
+    space, top = tower
+    for level in range(top + 1):
+        stage = space.stage(level)
+        objects = {id(v) for s in stage.complex.simplices for v in s}
+        assert objects == {id(v) for v in stage.complex.vertices}
+        assert {id(b) for b in stage.carrier_of_vertex} == (
+            objects if level else set()
+        )
+        if level:
+            below = {id(v) for v in space.stage_complex(level - 1).vertices}
+            members = {id(u) for b in stage.complex.vertices for u in b.of}
+            assert members == below
+
+
+def test_labels_and_label_index_match_recursive_labels(tower):
+    space, top = tower
+    for level in range(top + 1):
+        stage = space.stage_complex(level)
+        expected = {reference_vlabel(v): v for v in stage.vertices}
+        assert len(expected) == len(stage.vertices)
+        assert {vlabel(v): v for v in stage.vertices} == expected
+        assert stage.by_label == expected
+        for name, v in expected.items():
+            assert space.vertex_named(level, name) is stage.by_label[name] == v
+
+
+def test_push_star_matches_stage_sweep(tower):
+    space, top = tower
+    rng = random.Random(7)
+    for level in range(top + 1):
+        verts = sorted(space.stage_complex(level).vertices, key=reference_vlabel)
+        cores = [frozenset([v]) for v in verts]
+        for _ in range(5):
+            cores.append(frozenset(rng.sample(verts, rng.randint(1, len(verts)))))
+        for core in cores:
+            star = StarSet(space, level, core)
+            for target in range(level, top + 1):
+                got = push_star(star, target).core_vertices
+                assert got == reference_push_star(star, target).core_vertices
+                assert got <= space.stage_complex(target).vertices
+
+
+def test_stars_and_neighbours_match_simplex_sweep(tower):
+    space, top = tower
+    for level in range(top + 1):
+        stage = space.stage_complex(level)
+        for v, star in stage.stars.items():
+            assert set(star) == {s for s in stage.simplices if v in s}
+        closed = {v: stage.neighbours[v] | {v} for v in stage.vertices}
+        assert closed == adjacency(space, level)
+
