@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import jsonio
 from .covers import DELTA, FULL_NERVE, delta_subcomplex, nerve, unindexed_delta
@@ -91,6 +92,14 @@ def _mode_arg(value: str):
     raise argparse.ArgumentTypeError("mode is one of c, finite-c, dim:<n>")
 
 
+def _shared(*names, **options) -> argparse.ArgumentParser:
+    """A parent parser declaring one option that several commands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **options)
+    return parent
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polycover",
@@ -98,38 +107,35 @@ def build_parser() -> argparse.ArgumentParser:
         "refinements of star-set covers on compact polyhedra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _shared("--out", default=None)
+    cover = _shared("--cover", required=True, help="cover JSON file, or -")
+    prefix = _shared("--kappa", type=_kappa_arg, default=None)
+    max_level = _shared("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
 
-    p = sub.add_parser("complex", help="validate a complex and emit its closure")
+    p = sub.add_parser("complex", help="validate a complex and emit its closure",
+                       parents=[out])
     p.set_defaults(run=_cmd_complex)
     p.add_argument("input", help="complex JSON file, or - for stdin")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--out", default=None)
 
     for name, help_text in (
         ("nerve", "the nerve of a cover prefix"),
         ("delta", "the one-vertex-per-level subcomplex of the nerve"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[cover, prefix, out])
         p.set_defaults(run=_cmd_nerve)
-        p.add_argument("--cover", required=True, help="cover JSON file, or -")
-        p.add_argument("--kappa", type=_kappa_arg, default=None)
         p.add_argument("--unindexed", action="store_true",
                        help="use deduplicated raw point sets (counterexample variant)")
         p.add_argument("--format", choices=("json", "dot"), default="json")
-        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("canonical", help="build a canonical map for a cover prefix")
+    p = sub.add_parser("canonical", help="build a canonical map for a cover prefix",
+                       parents=[cover, prefix, max_level, out])
     p.set_defaults(run=_cmd_canonical)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--kappa", type=_kappa_arg, default=None)
     p.add_argument("--target", choices=(DELTA, "nerve"), default=DELTA)
-    p.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("selection", help="check predicates of a map against a cover")
+    p = sub.add_parser("selection", help="check predicates of a map against a cover",
+                       parents=[cover, prefix, out])
     p.set_defaults(run=_cmd_selection)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--kappa", type=_kappa_arg, default=None)
     p.add_argument("--map", required=True, dest="map_file")
     p.add_argument(
         "--predicate",
@@ -137,56 +143,46 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
     )
     p.add_argument("--tables", default=None, help="carrier tables JSON (skeletal)")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("crefine", help="construct, search, verify, or extract refinements")
     p.set_defaults(run=_cmd_crefine)
     action = p.add_subparsers(dest="action", required=True)
 
-    a = action.add_parser("construct", help="barycenter dimension-class families")
-    a.add_argument("--cover", required=True)
+    a = action.add_parser("construct", help="barycenter dimension-class families",
+                          parents=[cover, max_level, out])
     a.add_argument("--n", type=int, required=True, help="builds n+1 families")
-    a.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
-    a.add_argument("--out", default=None)
 
-    a = action.add_parser("search", help="exhaustive bounded-level search")
-    a.add_argument("--cover", required=True)
+    a = action.add_parser("search", help="exhaustive bounded-level search",
+                          parents=[cover, out])
     a.add_argument("--kappa", type=int, required=True)
     a.add_argument("--max-level", type=int, required=True)
     a.add_argument("--min-level", type=int, default=0)
-    a.add_argument("--out", default=None)
 
-    a = action.add_parser("verify", help="check the three refinement invariants")
-    a.add_argument("--cover", required=True)
+    a = action.add_parser("verify", help="check the three refinement invariants",
+                          parents=[cover, out])
     a.add_argument("--refinement", required=True)
-    a.add_argument("--out", default=None)
 
-    a = action.add_parser("extract", help="star-set fibers of a canonical map")
-    a.add_argument("--cover", required=True)
-    a.add_argument("--kappa", type=_kappa_arg, default=None)
+    a = action.add_parser("extract", help="star-set fibers of a canonical map",
+                          parents=[cover, prefix, out])
     a.add_argument("--map", required=True, dest="map_file")
-    a.add_argument("--out", default=None)
 
-    p = sub.add_parser("dim", help="covering dimension of a complex")
+    p = sub.add_parser("dim", help="covering dimension of a complex", parents=[out])
     p.set_defaults(run=_cmd_dim)
     p.add_argument("input")
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("cone-extend", help="extend a map over a cone via a witness")
+    p = sub.add_parser("cone-extend", help="extend a map over a cone via a witness",
+                       parents=[out])
     p.set_defaults(run=_cmd_cone_extend)
     p.add_argument("input")
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("mu-driver", help="run both equivalence directions")
+    p = sub.add_parser("mu-driver", help="run both equivalence directions",
+                       parents=[max_level, out])
     p.set_defaults(run=_cmd_mu_driver)
     p.add_argument("cover")
     p.add_argument("--mode", "--mu", type=_mode_arg, required=True)
-    p.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("selftest", help="run the fixture corpus")
+    p = sub.add_parser("selftest", help="run the fixture corpus", parents=[out])
     p.set_defaults(run=_cmd_selftest)
-    p.add_argument("--out", default=None)
     return parser
 
 
@@ -304,8 +300,7 @@ def _cmd_mu_driver(args) -> int:
     try:
         report = mu_driver(cs, args.mode, args.max_level)
     except LevelBudgetExceeded as budget:
-        if budget.report is not None:
-            _emit(jsonio.dumps(jsonio.mu_report_to_json(budget.report)), args.out)
+        _emit(jsonio.dumps(jsonio.mu_report_to_json(budget.report)), args.out)
         return 3
     _emit(jsonio.dumps(jsonio.mu_report_to_json(report)), args.out)
     if report.success:
@@ -320,8 +315,7 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except SchemaError as err:

@@ -11,15 +11,16 @@ counterexample testbed for prefix monotonicity.
 Every kernel decision reduces to one fact: a point with carrier tau lies
 in a star-set iff tau meets its core, so the kernel of a vertex set is
 nonempty iff it lies in the hit set (the elements whose cores it meets)
-of some working-stage simplex.  One hit index per cover, `_hit_sets`,
-decides nerves, one-per-level complexes and kernels.  Coverage is
-decided in one place, `uncovered_vertex`.
+of some working-stage simplex.  One hit index per cover, the cached
+`CoverSequence.hit_sets`, decides nerves, one-per-level complexes and
+kernels; it lives and dies with its cover.  Coverage is decided in one
+place, `uncovered_vertex`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .complexes import (
     SimplicialComplex,
@@ -70,6 +71,16 @@ class CoverSequence:
 
     def working_complex(self) -> SimplicialComplex:
         return self.space.stage_complex(self.working_level)
+
+    @cached_property
+    def hit_sets(self) -> dict:
+        """Each working-stage simplex tau -> the (id, n) of every level whose
+        core meets tau: the kernel of a vertex set contains the interior of
+        tau iff the set lies in tau's hit set.  Equal hit sets are one object."""
+        elements = list(self.elements())
+        hits = _hits(self.working_complex(), [s.core_vertices for *_, s in elements])
+        named = {h: frozenset(elements[i][:2] for i in h) for h in set(hits.values())}
+        return {tau: named[h] for tau, h in hits.items()}
 
 
 def cover_sequence(space: PolyhedralSpace, levels) -> CoverSequence:
@@ -143,18 +154,6 @@ def _check_kappa(cs: CoverSequence, kappa: int | None) -> int:
     return kappa
 
 
-# Kept small: each key pins its cover's whole subdivision tower in memory.
-@lru_cache(maxsize=8)
-def _hit_sets(cs: CoverSequence) -> dict:
-    """Each working-stage simplex tau -> the (id, n) of every level whose
-    core meets tau: the kernel of a vertex set contains the interior of
-    tau iff the set lies in tau's hit set.  Equal hit sets are one object."""
-    elements = list(cs.elements())
-    hits = _hits(cs.working_complex(), [star.core_vertices for *_, star in elements])
-    named = {h: frozenset(elements[i][:2] for i in h) for h in set(hits.values())}
-    return {tau: named[h] for tau, h in hits.items()}
-
-
 def _kernel_carriers(cs: CoverSequence, sigma) -> list:
     """The working-stage simplices meeting the core of every element of
     sigma: the carriers of the points in the kernel of sigma."""
@@ -164,7 +163,7 @@ def _kernel_carriers(cs: CoverSequence, sigma) -> list:
         if eid not in dict(cs.levels[n]):
             raise UnknownCoverElement(f"no element {eid!r} at level {n}")
     sigma = frozenset(sigma)
-    return [tau for tau, hit in _hit_sets(cs).items() if sigma <= hit]
+    return [tau for tau, hit in cs.hit_sets.items() if sigma <= hit]
 
 
 def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
@@ -179,7 +178,7 @@ def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
 def _prefix_hit_sets(cs: CoverSequence, kappa: int) -> set:
     """The distinct hit sets of working-stage simplices, cut to the first
     kappa levels."""
-    hits = set(_hit_sets(cs).values())
+    hits = set(cs.hit_sets.values())
     return {frozenset(v for v in hit if v[1] < kappa) for hit in hits}
 
 
@@ -222,7 +221,7 @@ def delta_at_carrier(
     tau; it may be empty when the prefix misses tau entirely.
     """
     kappa = _check_kappa(cs, kappa)
-    hit = _hit_sets(cs).get(frozenset(tau))
+    hit = cs.hit_sets.get(frozenset(tau))
     if hit is None:
         raise UnknownCarrier("tau is not a simplex of the working stage")
     return SimplicialComplex(_one_per_level(hit, kappa))

@@ -87,21 +87,24 @@ def complex_to_json(c: SimplicialComplex) -> dict:
     }
 
 
-def complex_from_json(data, path: str = "$") -> SimplicialComplex:
-    obj = _expect_obj(data, path)
-    raw = _expect_list(obj.get("maximal_simplices"), f"{path}.maximal_simplices")
-    _expect(len(raw) > 0, f"{path}.maximal_simplices", "needs at least one simplex")
+def _simplices_from_json(data, path: str, empty: str) -> SimplicialComplex:
+    """The face closure of a nonempty list of nonempty vertex-label lists;
+    `empty` is the message for an empty outer list."""
+    raw = _expect_list(data, path)
+    _expect(len(raw) > 0, path, empty)
     sets = []
     for i, entry in enumerate(raw):
-        entry = _expect_list(entry, f"{path}.maximal_simplices[{i}]")
-        _expect(len(entry) > 0, f"{path}.maximal_simplices[{i}]", "simplices are nonempty")
-        sets.append(
-            {
-                _expect_str(v, f"{path}.maximal_simplices[{i}][{j}]")
-                for j, v in enumerate(entry)
-            }
-        )
+        entry = _expect_list(entry, f"{path}[{i}]")
+        _expect(len(entry) > 0, f"{path}[{i}]", "simplices are nonempty")
+        sets.append({_expect_str(v, f"{path}[{i}][{j}]") for j, v in enumerate(entry)})
     return validate_complex(sets)
+
+
+def complex_from_json(data, path: str = "$") -> SimplicialComplex:
+    obj = _expect_obj(data, path)
+    return _simplices_from_json(
+        obj.get("maximal_simplices"), f"{path}.maximal_simplices", "needs at least one simplex"
+    )
 
 
 def _to_dot(c: SimplicialComplex, name: str, caption: str) -> str:
@@ -360,15 +363,9 @@ def tables_from_json(
         for token, sets in raw.items():
             here = f"{path}.tables[{k}][{token!r}]"
             _expect(token in by_token, here, "token names no working-stage simplex")
-            sets = _expect_list(sets, here)
-            _expect(len(sets) > 0, here, "table values are nonempty complexes")
-            members = []
-            for i, entry in enumerate(sets):
-                entry = _expect_list(entry, f"{here}[{i}]")
-                members.append(
-                    {_expect_str(v, f"{here}[{i}][{j}]") for j, v in enumerate(entry)}
-                )
-            table[by_token[token]] = validate_complex(members)
+            table[by_token[token]] = _simplices_from_json(
+                sets, here, "table values are nonempty complexes"
+            )
         tables.append(table)
     try:
         return carrier_tables(space, level, target, tables, witness)

@@ -35,10 +35,15 @@ from .errors import (
     CannotCoarsen,
     IncompleteMap,
     InvalidArgument,
+    InvalidComplex,
     InvalidPoint,
     LevelBudgetExceeded,
     LevelMismatch,
 )
+
+# Stage labels join member labels with "," inside "b(...)", and simplex
+# tokens join vertex labels with "|": base labels must avoid all four.
+RESERVED_LABEL_CHARS = frozenset(",()|")
 
 # Larger stages are refused before they are built: the triangle's stage 6
 # has 140,161 simplices, its stage 7 would take gigabytes for 840,193.
@@ -65,9 +70,18 @@ class PolyhedralSpace:
     Stages are computed on demand and cached; the tower is deterministic,
     so two spaces with equal bases have identical stages.  A stage of
     more than MAX_STAGE_SIMPLICES simplices raises LevelBudgetExceeded.
+    Base vertex labels must be distinct and free of RESERVED_LABEL_CHARS,
+    so that every stage labels its vertices and simplices injectively;
+    InvalidComplex is raised otherwise.
     """
 
     def __init__(self, base: SimplicialComplex):
+        names = base.by_label
+        if len(names) < len(base.vertices):
+            raise InvalidComplex("two base vertices have the same label")
+        bad = min((n for n in names if not RESERVED_LABEL_CHARS.isdisjoint(n)), default=None)
+        if bad is not None:
+            raise InvalidComplex(f"base vertex label {bad!r} contains one of , ( ) |")
         self.base = base
         self._stages: list[SubdivisionStage] = [initial_stage(base)]
 

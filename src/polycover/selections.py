@@ -32,7 +32,6 @@ from .covers import (
     CoverSequence,
     IndexedNerve,
     _check_kappa,
-    _hit_sets,
     _kernel_carriers,
     cover_sequence,
     delta_subcomplex,
@@ -206,7 +205,7 @@ def build_canonical(
             f"no canonical assignment up to subdivision level {max_level}"
         )
     # The first kappa levels cover, so the least element is one of theirs.
-    hits = _hit_sets(cs)
+    hits = cs.hit_sets
     images = {
         v: min(hits[frozenset([v])], key=lambda e: (e[1], e[0])) for v in stage.vertices
     }

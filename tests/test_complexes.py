@@ -18,7 +18,12 @@ from polycover import (
     subdivide,
     validate_complex,
 )
-from polycover.complexes import SimplicialComplex, maximal_simplices, vlabel
+from polycover.complexes import (
+    SimplicialComplex,
+    maximal_simplices,
+    simplex_label,
+    vlabel,
+)
 from polycover.errors import IncompleteMap, InvalidComplex, VertexClash
 from polycover.fixtures import f_edge, f_tri
 
@@ -200,8 +205,32 @@ def test_maximal_simplices():
     assert maximal_simplices(c) == [fs("a", "b"), fs("b", "c", "d")]
 
 
+# Bases whose labels collide: "a,b" against the stage-1 vertex of {a, b};
+# "a)" and "b(a" against the stage-1 vertices of {a} and {a, c}, at stage 2;
+# "a|b" against the simplex token of {a, b}; and 1 against "1".
+COLLIDING_BASES = [
+    [{"a", "b"}, {"a,b"}],
+    [{"a", "c"}, {"a)", "b(a", "c"}],
+    [{"a", "b"}, {"a|b"}],
+    [{1, "1"}],
+]
+
+
+def _labels_injective(c: SimplicialComplex) -> bool:
+    return len({vlabel(v) for v in c.vertices}) == len(c.vertices) and len(
+        {simplex_label(s) for s in c.simplices}
+    ) == len(c.simplices)
+
+
 def test_labels_are_injective_per_stage():
-    space = PolyhedralSpace(f_tri())
-    for level in range(3):
-        verts = space.stage_complex(level).vertices
-        assert len({vlabel(v) for v in verts}) == len(verts)
+    for base in (f_tri(), validate_complex([{"a b", "x@1", "t:a"}])):
+        space = PolyhedralSpace(base)
+        for level in range(3):
+            assert _labels_injective(space.stage_complex(level))
+    for sets in COLLIDING_BASES:
+        stages = [initial_stage(validate_complex(sets))]
+        for _ in range(2):
+            stages.append(subdivide(stages[-1]))
+        assert not all(_labels_injective(stage.complex) for stage in stages), sets
+        with pytest.raises(InvalidComplex):
+            PolyhedralSpace(validate_complex(sets))

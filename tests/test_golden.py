@@ -239,10 +239,59 @@ CASES = {
         ["selection", "--cover", "rem.cover.json", "--map", "negative_level.map.json"],
         None,
     ),
+    "mu-driver-c": (["mu-driver", "--mode", "c", "tri2.cover.json"], "mu_report"),
+    "mu-driver-finite-c": (
+        ["mu-driver", "--mode", "finite-c", "tri2.cover.json"],
+        "mu_report",
+    ),
+    "nerve-kappa-omega": (
+        ["nerve", "--cover", "rem.cover.json", "--kappa", "omega"],
+        "nerve",
+    ),
+    # the budget report goes to stdout and the exit code is 3
+    "mu-driver-budget": (
+        ["mu-driver", "--mode", "dim:2", "--max-level", "0", "tri2.cover.json"],
+        "mu_report",
+    ),
+    "cover-uncovered": (["nerve", "--cover", "uncovered.cover.json"], None),
+    "cover-duplicate-id": (["nerve", "--cover", "duplicate_id.cover.json"], None),
+    # the two levels cover together, but neither covers on its own
+    "construct-level-not-covering": (
+        ["crefine", "construct", "--cover", "split.cover.json", "--n", "1"],
+        None,
+    ),
+    "selection-map-below-working-level": (
+        ["selection", "--cover", "rem.cover.json", "--kappa", "2", "--map", "coarse.map.json"],
+        None,
+    ),
+    "cover-invalid-json": (
+        ["crefine", "construct", "--cover", "invalid.cover.txt", "--n", "1"],
+        None,
+    ),
+    # "a,b" would give the stage-1 vertices of {a, b} and {a,b} one label
+    "construct-reserved-label": (
+        ["crefine", "construct", "--cover", "comma.cover.json", "--n", "1"],
+        None,
+    ),
+    "selection-skeletal-empty-simplex": (
+        [
+            "selection",
+            "--cover",
+            "skeletal.cover.json",
+            "--map",
+            "skeletal.map.json",
+            "--predicate",
+            "skeletal",
+            "--tables",
+            "empty_simplex.tables.json",
+        ],
+        None,
+    ),
 }
 
 # input document -> schema it conforms to (the skeletal map has none, and the
-# negative-level map breaks its schema on purpose)
+# negative-level map and the empty-simplex tables break their schemas on
+# purpose; invalid.cover.txt is not JSON at all)
 INPUT_SCHEMAS = {
     "bad.map.json": "canonical_map",
     "boundary.complex.json": "complex",
@@ -250,6 +299,10 @@ INPUT_SCHEMAS = {
     "cone.json": "cone_extend_input",
     "cone_bad_witness.json": "cone_extend_input",
     "cone_witness_failure.json": "cone_extend_input",
+    "coarse.map.json": "canonical_map",
+    "comma.cover.json": "cover_sequence",
+    "duplicate_id.cover.json": "cover_sequence",
+    "empty_simplex.tables.json": None,
     "fine.cover.json": "cover_sequence",
     "fine.delta.map.json": "canonical_map",
     "negative_level.map.json": None,
@@ -260,6 +313,7 @@ INPUT_SCHEMAS = {
     "skeletal.cover.json": "cover_sequence",
     "skeletal.map.json": None,
     "skeletal.tables.json": "carrier_tables",
+    "split.cover.json": "cover_sequence",
     "tet1.cover.json": "cover_sequence",
     "tet1.refinement.json": "refinement",
     "tet1_overlap.refinement.json": "refinement",
@@ -268,6 +322,7 @@ INPUT_SCHEMAS = {
     "tri2.cover.json": "cover_sequence",
     "tri3.cover.json": "cover_sequence",
     "tri3.refinement.json": "refinement",
+    "uncovered.cover.json": "cover_sequence",
     "uncovered.refinement.json": "refinement",
 }
 

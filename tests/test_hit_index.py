@@ -5,8 +5,10 @@ read off each working simplex's hit set; `tests/helpers.py` keeps the
 earlier per-core scans and the pairwise `maximal_simplices` as oracles.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 from polycover import (
     PolyhedralSpace,
@@ -21,7 +23,7 @@ from polycover import (
     unindexed_delta,
     validate_complex,
 )
-from polycover.covers import _hit_sets, _kernel_carriers
+from polycover.covers import _kernel_carriers
 from polycover.fixtures import (
     boundary_space,
     edge_space,
@@ -171,11 +173,20 @@ def test_least_overlap_takes_the_least_family_and_no_pair_across_families():
     assert _least_overlap(stage, []) is None
 
 
+def test_a_cover_is_freed_once_its_nerve_is_built():
+    cs = vertex_star_cover(tri_space(), 2)
+    nerve(cs)
+    alive = weakref.ref(cs)
+    del cs
+    gc.collect()
+    assert alive() is None
+
+
 def test_equal_hit_sets_are_one_object():
     space = tet_space()
     stars = vertex_star_cover(space).levels[0]
     cs = cover_sequence(space, [[(eid, push_star(star, 2)) for eid, star in stars]] * 3)
-    hits = _hit_sets(cs)
+    hits = cs.hit_sets
     assert len(hits) == len(space.stage_complex(2).simplices)
     distinct = set(hits.values())
     assert len({id(hit) for hit in hits.values()}) == len(distinct) == 15

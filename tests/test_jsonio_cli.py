@@ -1,5 +1,6 @@
 """Serialization round trips, schema validation, and CLI behaviour."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -434,6 +435,20 @@ class TestCli:
         )
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["ok"] is True
+
+    def test_main_builds_one_parser(self, tmp_path, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps({"maximal_simplices": [["a", "b"]]}))
+        assert main(["dim", str(src)]) == main(["complex", str(src)]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
