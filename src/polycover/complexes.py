@@ -2,11 +2,15 @@
 barycentric subdivision, and simplicial maps.
 
 Vertices are opaque hashable ids.  Simplices are nonempty frozensets of
-vertex ids, and a complex stores the full face-closed family.  Subdivision
-vertices are `Barycenter` tokens naming the simplex they subdivide, so
-stages are reproducible and maps across stages are well-defined.  A tower
-makes each token once, one per parent simplex, and every chain shares it;
-a token's label is built once, from its members' labels, and kept on it.
+vertex ids, and a complex stores the full face-closed family; its facets
+(the maximal simplices) are computed once, on first use.  A map is
+simplicial iff it sends every source facet to a target simplex, since the
+target is face-closed and a face's image lies inside its facet's.
+Subdivision vertices are `Barycenter` tokens naming the simplex they
+subdivide, so stages are reproducible and maps across stages are
+well-defined.  A tower makes each token once, one per parent simplex, and
+every chain shares it; a token's label is built once, from its members'
+labels, and kept on it.
 """
 
 from __future__ import annotations
@@ -72,6 +76,14 @@ class SimplicialComplex:
         for s in self.simplices:
             out.update(s)
         return frozenset(out)
+
+    @cached_property
+    def facets(self) -> frozenset:
+        """The simplices contained in no other simplex.  The complex is
+        face-closed, so a simplex lies in a larger one iff it is some
+        simplex minus one vertex."""
+        faces = {t - {v} for t in self.simplices for v in t}
+        return self.simplices - faces
 
     @cached_property
     def neighbours(self) -> dict:
@@ -171,13 +183,8 @@ def cone(c: SimplicialComplex, v: Vertex) -> SimplicialComplex:
 
 
 def maximal_simplices(c: SimplicialComplex) -> list:
-    """Simplices of c contained in no other simplex of c, in canonical order.
-
-    c is face-closed, so a simplex lies in a larger one iff it is some
-    simplex minus one vertex.
-    """
-    faces = {t - {v} for t in c.simplices for v in t}
-    return sorted(c.simplices - faces, key=simplex_key)
+    """The facets of c, in canonical order."""
+    return sorted(c.facets, key=simplex_key)
 
 
 @dataclass(frozen=True)
@@ -202,11 +209,15 @@ class SimplicialMap:
 
 
 def check_simplicial_map(m: SimplicialMap) -> bool:
-    """True iff the image of every source simplex is a target simplex."""
+    """True iff the image of every source simplex is a target simplex.
+
+    The target is face-closed and a face's image lies inside the image of
+    any facet holding it, so the source facets decide.
+    """
     for v in m.source.vertices:
         if v not in m.vertex_images:
             raise IncompleteMap(f"no image for vertex {vlabel(v)}")
-    return all(m.image(s) in m.target.simplices for s in m.source.simplices)
+    return all(m.image(s) in m.target.simplices for s in m.source.facets)
 
 
 def compose_maps(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:

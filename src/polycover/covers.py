@@ -11,10 +11,13 @@ counterexample testbed for prefix monotonicity.
 Every kernel decision reduces to one fact: a point with carrier tau lies
 in a star-set iff tau meets its core, so the kernel of a vertex set is
 nonempty iff it lies in the hit set (the elements whose cores it meets)
-of some working-stage simplex.  One hit index per cover, the cached
-`CoverSequence.hit_sets`, decides nerves, one-per-level complexes and
-kernels; it lives and dies with its cover.  Coverage is decided in one
-place, `uncovered_vertex`.
+of some working-stage simplex.  A face's hit set lies inside that of any
+facet holding it, so nerves and one-per-level complexes are built from
+the hit sets of the working stage's facets alone, once per cover and
+prefix: `CoverSequence.nerves` keeps them.  Only the kernel readers
+(`kernel_query`, `delta_at_carrier`) need every simplex's hit set, the
+cached `CoverSequence.hit_sets`.  Both caches live and die with their
+cover.  Coverage is decided in one place, `uncovered_vertex`.
 """
 
 from __future__ import annotations
@@ -78,9 +81,16 @@ class CoverSequence:
         core meets tau: the kernel of a vertex set contains the interior of
         tau iff the set lies in tau's hit set.  Equal hit sets are one object."""
         elements = list(self.elements())
-        hits = _hits(self.working_complex(), [s.core_vertices for *_, s in elements])
+        simplices = self.working_complex().simplices
+        hits = _hits(simplices, [s.core_vertices for *_, s in elements])
         named = {h: frozenset(elements[i][:2] for i in h) for h in set(hits.values())}
         return {tau: named[h] for tau, h in hits.items()}
+
+    @cached_property
+    def nerves(self) -> dict:
+        """(kind, kappa) -> the IndexedNerve of that kind over the first
+        kappa levels, filled by `nerve` and `delta_subcomplex` on first use."""
+        return {}
 
 
 def cover_sequence(space: PolyhedralSpace, levels) -> CoverSequence:
@@ -175,11 +185,13 @@ def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
     return min(_kernel_carriers(cs, sigma), key=simplex_key, default=None)
 
 
-def _prefix_hit_sets(cs: CoverSequence, kappa: int) -> set:
-    """The distinct hit sets of working-stage simplices, cut to the first
-    kappa levels."""
-    hits = set(cs.hit_sets.values())
-    return {frozenset(v for v in hit if v[1] < kappa) for hit in hits}
+def _facet_hit_sets(cs: CoverSequence, kappa: int) -> set:
+    """The distinct hit sets of the working stage's facets within the first
+    kappa levels: every hit set of the stage lies inside one of them."""
+    elements = list(cs.elements(kappa))
+    cores = [star.core_vertices for *_, star in elements]
+    hits = set(_hits(cs.working_complex().facets, cores).values())
+    return {frozenset(elements[i][:2] for i in hit) for hit in hits}
 
 
 def _one_per_level(hit, kappa: int) -> frozenset:
@@ -192,24 +204,35 @@ def _one_per_level(hit, kappa: int) -> frozenset:
     return frozenset(out - {frozenset()})
 
 
+def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> IndexedNerve:
+    """The complex of this kind over the first kappa levels, built from the
+    facets' hit sets on the first request and kept in `cs.nerves`."""
+    kappa = _check_kappa(cs, kappa)
+    built = cs.nerves.get((kind, kappa))
+    if built is None:
+        hits = _facet_hit_sets(cs, kappa)
+        if kind == FULL_NERVE:
+            simplices = face_closure(hits)
+        else:
+            simplices = frozenset().union(*(_one_per_level(h, kappa) for h in hits))
+        built = IndexedNerve(SimplicialComplex(simplices), kind)
+        cs.nerves[kind, kappa] = built
+    return built
+
+
 def nerve(cs: CoverSequence, kappa: int | None = None) -> IndexedNerve:
     """The nerve of the first kappa levels, indexed by (id, level) pairs.
 
     Simplices are exactly the kernel-nonempty vertex sets.  Since the
     interiors of working-stage simplices partition the space, these are
-    the subsets of some simplex's hit set.
+    the subsets of some simplex's hit set, hence of some facet's.
     """
-    kappa = _check_kappa(cs, kappa)
-    closure = face_closure(_prefix_hit_sets(cs, kappa))
-    return IndexedNerve(SimplicialComplex(closure), FULL_NERVE)
+    return _indexed_nerve(cs, kappa, FULL_NERVE)
 
 
 def delta_subcomplex(cs: CoverSequence, kappa: int | None = None) -> IndexedNerve:
     """The subcomplex of the nerve with at most one vertex per level."""
-    kappa = _check_kappa(cs, kappa)
-    hits = _prefix_hit_sets(cs, kappa)
-    out = frozenset().union(*(_one_per_level(hit, kappa) for hit in hits))
-    return IndexedNerve(SimplicialComplex(out), DELTA)
+    return _indexed_nerve(cs, kappa, DELTA)
 
 
 def delta_at_carrier(
@@ -277,7 +300,7 @@ def unindexed_delta(cs: CoverSequence, kappa: int | None = None) -> SimplicialCo
         {rep[star.core_vertices] for _, star in cs.levels[n]} for n in range(kappa)
     ]
     names = list(rep.values())
-    hits = _hits(cs.working_complex(), list(rep)).values()
+    hits = _hits(cs.working_complex().facets, list(rep)).values()
     closure = face_closure({tuple(names[i] for i in h) for h in hits})
     kept = (s for s in closure if all(len(s & m) <= 1 for m in member_sets))
     return SimplicialComplex(frozenset(kept))

@@ -141,7 +141,8 @@ def ostrand_refine(
 
     if max_level <= cs.working_level:
         raise LevelBudgetExceeded(
-            f"no fine enough stage up to level {max_level - 1}"
+            f"the refinement needs stage {cs.working_level + 1}, "
+            f"beyond the max level {max_level}"
         )
 
     mstar = cs.working_level + 1

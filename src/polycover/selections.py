@@ -178,8 +178,8 @@ def build_canonical(
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> CanonicalMap:
     """Construct a canonical map on the working stage by assigning each
-    vertex the smallest (level, id) element whose core contains it: the
-    least element of the hit set of {v}.
+    vertex the smallest (level, id) element whose core contains it, in one
+    pass over the cores in that order.
 
     The working stage is already fine enough: a vertex star lies inside an
     element exactly when the vertex is in the element's core, and the
@@ -205,10 +205,12 @@ def build_canonical(
             f"no canonical assignment up to subdivision level {max_level}"
         )
     # The first kappa levels cover, so the least element is one of theirs.
-    hits = cs.hit_sets
-    images = {
-        v: min(hits[frozenset([v])], key=lambda e: (e[1], e[0])) for v in stage.vertices
-    }
+    # `elements` walks the levels in order, each row sorted by id by
+    # `cover_sequence`, so the first element holding v is the least.
+    images: dict = {}
+    for eid, n, star in cs.elements(kappa):
+        for v in star.core_vertices:
+            images.setdefault(v, (eid, n))
     return CanonicalMap(
         cs.working_level, SimplicialMap(stage, target.complex, images), target
     )

@@ -23,6 +23,7 @@ from polycover import (
     push_star,
     stage_point,
     star_subset,
+    validate_complex,
     vlabel,
 )
 from polycover.complexes import Barycenter, SimplicialComplex, simplex_key
@@ -453,6 +454,28 @@ def reference_unindexed_delta(cs, kappa=None) -> frozenset:
                 if all(len(set(sub) & members) <= 1 for members in member_sets):
                     out.add(frozenset(sub))
     return frozenset(out)
+
+
+# -- bases beyond the fixtures -----------------------------------------------
+
+
+def dangling_space() -> PolyhedralSpace:
+    """A triangle with an edge hanging off one corner: not pure."""
+    return PolyhedralSpace(validate_complex([{"a", "b", "c"}, {"c", "d"}]))
+
+
+def two_triangles_space() -> PolyhedralSpace:
+    """Two disjoint triangles: not connected."""
+    return PolyhedralSpace(validate_complex([{"a", "b", "c"}, {"x", "y", "z"}]))
+
+
+# -- all-simplices map check --------------------------------------------------
+
+
+def reference_check_simplicial_map(m: SimplicialMap) -> bool:
+    """True iff every source simplex, not just every facet, has a target
+    simplex as its image."""
+    return all(m.image(s) in m.target.simplices for s in m.source.simplices)
 
 
 # -- sorted-scan oracles ------------------------------------------------------

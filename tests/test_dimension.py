@@ -26,7 +26,13 @@ from polycover import (
     verify_c_refinement,
     vlabel,
 )
-from polycover.errors import DimensionTooLow, InvalidArgument, NoCoverage, NotARefinement
+from polycover.errors import (
+    DimensionTooLow,
+    InvalidArgument,
+    LevelBudgetExceeded,
+    NoCoverage,
+    NotARefinement,
+)
 from polycover.realization import PolyhedralSpace
 from polycover.fixtures import (
     boundary_space,
@@ -283,6 +289,26 @@ def test_search_over_no_levels_is_refused():
     for max_level, min_level in ((0, 2), (-1, 0), (1, 2)):
         with pytest.raises(InvalidArgument):
             search_c_refinement(cs, 3, max_level, min_level)
+
+
+def test_budget_refusal_names_the_budget_given():
+    """A max level at or below the working level is refused with the stage
+    the constructor needs and the max level given, never a level below 0."""
+    tri = tri_space()
+    at_0 = vertex_star_cover(tri, 3)
+    at_1 = cover_sequence(
+        tri, [[(eid, push_star(s, 1)) for eid, s in family] for family in at_0.levels]
+    )
+    for cs, max_level in ((at_0, 0), (at_1, 0), (at_1, 1)):
+        needed = cs.working_level + 1
+        message = f"the refinement needs stage {needed}, beyond the max level {max_level}"
+        with pytest.raises(LevelBudgetExceeded) as err:
+            ostrand_refine(cs, 2, max_level)
+        assert str(err.value) == message
+        with pytest.raises(LevelBudgetExceeded) as err:
+            mu_driver(cs, n_plus_one(2), max_level)
+        assert err.value.report.failure == message
+    assert ostrand_refine(at_0, 2, 1).families[0][0][1].level == 1
 
 
 def _corrupted(r, rng):

@@ -1,0 +1,170 @@
+"""Map checks by facets, and one-per-level complexes built once per cover.
+
+`check_simplicial_map` tests source facets only; `tests/helpers.py` keeps
+a check on every source simplex as the oracle.  Nerves and one-per-level
+complexes are kept per cover and prefix, so `refinement_map` and
+`build_canonical` share one object and `mu_driver` builds each once.
+(`tests/test_hit_index.py` checks the facet-built complexes themselves.)
+"""
+
+import random
+
+import pytest
+
+from polycover import (
+    CoverSequence,
+    SimplicialComplex,
+    SimplicialMap,
+    build_canonical,
+    check_simplicial_map,
+    cover_sequence,
+    mu_driver,
+    n_plus_one,
+    ostrand_refine,
+    pad_levels,
+    push_star,
+    refinement_as_cover,
+    refinement_map,
+    validate_complex,
+    vlabel,
+)
+from polycover import covers
+from polycover.errors import IncompleteMap
+from polycover.fixtures import (
+    boundary_space,
+    edge_space,
+    tet_space,
+    tri_space,
+    vertex_star_cover,
+)
+
+from helpers import (
+    dangling_space,
+    reference_check_simplicial_map,
+    two_triangles_space,
+)
+
+BASES = (
+    edge_space,
+    boundary_space,
+    tri_space,
+    tet_space,
+    dangling_space,
+    two_triangles_space,
+)
+
+
+def _sorted_vertices(c: SimplicialComplex) -> list:
+    return sorted(c.vertices, key=vlabel)
+
+
+def _seeded_maps(rng):
+    """Maps from each stage 1 and 2 of every base into the stage below, each
+    barycenter sent to a vertex of its simplex (always simplicial), then
+    copies with one vertex sent anywhere; and random maps between random
+    complexes, the targets of at most two dimensions."""
+    for space_fn in BASES:
+        space = space_fn()
+        for level in (1, 2):
+            source = space.stage_complex(level)
+            target = space.stage_complex(level - 1)
+            good = {b: rng.choice(sorted(b.of, key=vlabel)) for b in source.vertices}
+            yield SimplicialMap(source, target, good)
+            for _ in range(4):
+                bad = dict(good)
+                bad[rng.choice(_sorted_vertices(source))] = rng.choice(
+                    _sorted_vertices(target)
+                )
+                yield SimplicialMap(source, target, bad)
+    for _ in range(60):
+        complexes = []
+        for verts, most in (("abcdef", 6), ("uvwxyz", 3)):
+            verts = verts[: rng.randint(2, 6)]
+            raw = [
+                rng.sample(verts, rng.randint(1, min(most, len(verts))))
+                for _ in range(rng.randint(1, 4))
+            ]
+            complexes.append(validate_complex(raw))
+        source, target = complexes
+        images = {v: rng.choice(_sorted_vertices(target)) for v in source.vertices}
+        yield SimplicialMap(source, target, images)
+
+
+def test_check_simplicial_map_matches_all_simplex_oracle():
+    verdicts = []
+    for m in _seeded_maps(random.Random(29)):
+        got = check_simplicial_map(m)
+        assert got == reference_check_simplicial_map(m)
+        verdicts.append(got)
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
+def test_a_map_whose_only_bad_image_is_one_edge_is_refused():
+    source = validate_complex([{"a", "b", "c"}, {"c", "d"}])
+    target = validate_complex([{"A", "B", "C"}, {"D"}])
+    m = SimplicialMap(source, target, {"a": "A", "b": "B", "c": "C", "d": "D"})
+    bad = [s for s in source.simplices if m.image(s) not in target.simplices]
+    assert bad == [frozenset({"c", "d"})]
+    assert not check_simplicial_map(m)
+    assert not reference_check_simplicial_map(m)
+
+
+def test_check_simplicial_map_reads_source_facets_only(monkeypatch):
+    source = tri_space().stage_complex(2)
+    target = tri_space().stage_complex(1)
+    images = {b: min(b.of, key=vlabel) for b in source.vertices}
+    seen = []
+    image = SimplicialMap.image
+    monkeypatch.setattr(
+        SimplicialMap, "image", lambda m, s: seen.append(s) or image(m, s)
+    )
+    assert check_simplicial_map(SimplicialMap(source, target, images))
+    assert len(seen) == len(source.facets) == 36
+    assert set(seen) == source.facets
+
+
+def test_a_vertex_with_no_image_is_still_refused():
+    source = validate_complex([{"a", "b", "c"}, {"c", "d"}])
+    target = validate_complex([{"A", "B", "C", "D"}])
+    for missing in "abcd":
+        images = {v: v.upper() for v in "abcd" if v != missing}
+        with pytest.raises(IncompleteMap, match=f"no image for vertex {missing}"):
+            check_simplicial_map(SimplicialMap(source, target, images))
+
+
+def _tri_cover_at(level: int) -> CoverSequence:
+    """The triangle's vertex-star cover, three levels, pushed to `level`."""
+    space = tri_space()
+    family = [(eid, push_star(star, level)) for eid, star in
+              vertex_star_cover(space, 1).levels[0]]
+    return cover_sequence(space, [family] * 3)
+
+
+def test_canonical_target_is_the_refinement_maps_source():
+    for level in (0, 1, 2):
+        padded = pad_levels(_tri_cover_at(level), 3)
+        fine = refinement_as_cover(ostrand_refine(padded, 2))
+        assert build_canonical(fine, 3).target.complex is (
+            refinement_map(fine, padded, 3).source
+        )
+
+
+def test_mu_driver_builds_each_complex_once_and_no_hit_index(monkeypatch):
+    built = []
+    facet_hit_sets = covers._facet_hit_sets
+
+    def counted(cs, kappa):
+        built.append((cs, kappa))
+        return facet_hit_sets(cs, kappa)
+
+    def refused(cs):
+        raise AssertionError("a whole-stage hit index was built")
+
+    monkeypatch.setattr(covers, "_facet_hit_sets", counted)
+    monkeypatch.setattr(CoverSequence, "hit_sets", property(refused))
+    for level in (0, 1, 2):
+        built.clear()
+        assert mu_driver(_tri_cover_at(level), n_plus_one(2)).success
+        keys = {(id(cs), kappa) for cs, kappa in built}
+        # One one-per-level complex for the padded cover, one for the fine.
+        assert len(keys) == len(built) == 2

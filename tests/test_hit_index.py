@@ -1,8 +1,9 @@
 """The hit index against the constructions it replaced.
 
-Nerves, one-per-level complexes, carrier values, kernels and overlaps are
-read off each working simplex's hit set; `tests/helpers.py` keeps the
-earlier per-core scans and the pairwise `maximal_simplices` as oracles.
+Nerves and one-per-level complexes are read off the hit sets of the
+working facets, carrier values and kernels off each working simplex's hit
+set; `tests/helpers.py` keeps the earlier per-core scans and the pairwise
+`maximal_simplices` as oracles.
 """
 
 import gc
@@ -34,6 +35,7 @@ from polycover.fixtures import (
 from polycover.realization import _least_overlap
 
 from helpers import (
+    dangling_space,
     random_cover,
     random_disjoint_cover,
     reference_delta_at_carrier,
@@ -43,6 +45,7 @@ from helpers import (
     reference_nerve_simplices,
     reference_unindexed_delta,
     sweep_least_overlap,
+    two_triangles_space,
 )
 
 # (space, working levels) pairs the covers are drawn at
@@ -50,7 +53,9 @@ GROUNDS = [
     (edge_space, (0, 1, 2)),
     (boundary_space, (0, 1, 2)),
     (tri_space, (0, 1, 2)),
-    (tet_space, (0, 1)),
+    (tet_space, (0, 1, 2)),
+    (dangling_space, (0, 1, 2)),
+    (two_triangles_space, (0, 1, 2)),
 ]
 
 
@@ -67,9 +72,12 @@ def seeded_covers(seed: int):
 def test_maximal_simplices_matches_pairwise_oracle():
     complexes = [
         space_fn().stage_complex(level)
-        for space_fn in (edge_space, boundary_space, tri_space)
+        for space_fn in (
+            edge_space, boundary_space, tri_space, dangling_space, two_triangles_space
+        )
         for level in range(4)
     ]
+    complexes += [tet_space().stage_complex(level) for level in range(3)]
     rng = random.Random(41)
     for _ in range(40):
         verts = "abcdefg"[: rng.randint(1, 7)]
