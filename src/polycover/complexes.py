@@ -8,7 +8,8 @@ simplicial iff it sends every source facet to a target simplex, since the
 target is face-closed and a face's image lies inside its facet's.
 Subdivision vertices are `Barycenter` tokens naming the simplex they
 subdivide, so stages are reproducible and maps across stages are
-well-defined.  A tower makes each token once, one per parent simplex, and
+well-defined.  A token is the 1-tuple of its simplex, hashed and compared
+in C by value.  A tower makes each token once, one per parent simplex, and
 every chain shares it; a token's label is built once, from its members'
 labels, and kept on it.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from .errors import ComposeError, IncompleteMap, InvalidComplex, VertexClash
@@ -26,11 +28,16 @@ Vertex = Hashable
 Simplex = frozenset
 
 
-@dataclass(frozen=True)
-class Barycenter:
-    """Vertex token for the barycenter of a previous-stage simplex."""
+class Barycenter(tuple):
+    """Vertex token for the barycenter of a previous-stage simplex `of`."""
 
-    of: Simplex
+    of = property(itemgetter(0))
+
+    def __new__(cls, of: Simplex):
+        return tuple.__new__(cls, (of,))
+
+    def __getnewargs__(self):
+        return (self.of,)
 
     @cached_property
     def label(self) -> str:

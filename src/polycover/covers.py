@@ -16,7 +16,8 @@ facet holding it, so nerves and one-per-level complexes are built from
 the hit sets of the working stage's facets alone, once per cover and
 prefix: `CoverSequence.nerves` keeps them.  Only the kernel readers
 (`kernel_query`, `delta_at_carrier`) need every simplex's hit set, the
-cached `CoverSequence.hit_sets`.  Both caches live and die with their
+cached `CoverSequence.hit_sets`.  `CoverSequence.pushed` keeps the
+families pushed to a finer level.  These caches live and die with their
 cover.  Coverage is decided in one place, `uncovered_vertex`.
 """
 
@@ -41,7 +42,7 @@ from .errors import (
     UnknownCarrier,
     UnknownCoverElement,
 )
-from .realization import PolyhedralSpace, _hits, push_star, star_subset
+from .realization import PolyhedralSpace, _hits, push_star
 
 FULL_NERVE = "full_nerve"
 DELTA = "delta"
@@ -91,6 +92,24 @@ class CoverSequence:
         """(kind, kappa) -> the IndexedNerve of that kind over the first
         kappa levels, filled by `nerve` and `delta_subcomplex` on first use."""
         return {}
+
+    @cached_property
+    def _pushed(self) -> dict:
+        return {}
+
+    def pushed(self, kappa: int, level: int) -> tuple:
+        """The first kappa families with every star-set re-expressed at
+        `level`.  Each distinct star-set is pushed once per cover and level;
+        the families are kept, per (kappa, level), as long as the cover."""
+        key = (kappa, level)
+        if key not in self._pushed:
+            rows = self.levels[:kappa]
+            stars = dict.fromkeys(star for row in rows for _, star in row)
+            stars = {star: push_star(star, level) for star in stars}
+            self._pushed[key] = tuple(
+                tuple((eid, stars[star]) for eid, star in row) for row in rows
+            )
+        return self._pushed[key]
 
 
 def cover_sequence(space: PolyhedralSpace, levels) -> CoverSequence:
@@ -265,21 +284,24 @@ def refinement_map(
     kappa_c = _check_kappa(coarse, kappa)
     if kappa_f != kappa_c:
         raise ValueError("prefix lengths differ")
-    # Push every element once; containment is then decided at one level.
+    # At one level containment is core containment: the coarse elements
+    # holding a fine core are those holding every one of its vertices.
     level = max(fine.working_level, coarse.working_level)
     images = {}
-    for n in range(kappa_f):
-        targets = [(cid, push_star(cstar, level)) for cid, cstar in coarse.levels[n]]
-        for eid, star in fine.levels[n]:
-            star = push_star(star, level)
-            chosen = next(
-                (cid for cid, cstar in targets if star_subset(star, cstar)), None
-            )
-            if chosen is None:
+    for n, row in enumerate(fine.pushed(kappa_f, level)):
+        targets = coarse.pushed(kappa_c, level)[n]
+        holding: dict = {}
+        for i, (_, cstar) in enumerate(targets):
+            for v in cstar.core_vertices:
+                holding.setdefault(v, []).append(i)
+        for eid, star in row:
+            holders = (holding.get(v, ()) for v in star.core_vertices)
+            fits = set(range(len(targets))).intersection(*holders)
+            if not fits:
                 raise NotARefinement(
                     f"element {eid!r} at level {n} fits inside no coarse element"
                 )
-            images[(eid, n)] = (chosen, n)
+            images[(eid, n)] = (targets[min(fits)][0], n)
     source = delta_subcomplex(fine, kappa_f).complex
     target = delta_subcomplex(coarse, kappa_c).complex
     return SimplicialMap(source, target, images)

@@ -93,9 +93,9 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
         ids = [pushed[n][i][0], pushed[n][j][0]]
         return RefinementReport(False, "overlap", {"level": n, "elements": ids})
 
-    source = pad_levels(r.source, r.kappa)
+    coarse_rows = pad_levels(r.source, r.kappa).pushed(len(r.families), level)
     for n, family in enumerate(pushed):
-        coarse = [push_star(star, level) for _, star in source.levels[n]]
+        coarse = [star for _, star in coarse_rows[n]]
         for eid, star in family:
             if not any(star_subset(star, c) for c in coarse):
                 return RefinementReport(
@@ -446,7 +446,7 @@ def mu_driver(
             refinement = ostrand_refine(padded, kappa - 1, max_level)
         else:
             method = "search"
-            result = search_c_refinement(cs, kappa, max_level)
+            result = search_c_refinement(padded, kappa, max_level)
             audits = result.audits
             status = result.status
             if status == "found":

@@ -115,7 +115,9 @@ class PolyhedralSpace:
             raise ValueError(f"no vertex labelled {label!r} at level {level}") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyhedralSpace) and self.base == other.base
+        return self is other or (
+            isinstance(other, PolyhedralSpace) and self.base == other.base
+        )
 
     def __hash__(self) -> int:
         return hash(self.base)
@@ -254,10 +256,13 @@ def push_star(s: StarSet, target_level: int) -> StarSet:
     """Re-express a star-set at a finer level (the identical point set).
 
     A level-m vertex star equals the union of the level-(m+1) stars of the
-    barycenters of all simplices containing the vertex.
+    barycenters of all simplices containing the vertex.  A push to the
+    star-set's own level returns it unchanged.
     """
     if target_level < s.level:
         raise CannotCoarsen("star-sets can only be pushed to finer levels")
+    if target_level == s.level:
+        return s
     core = s.core_vertices
     for level in range(s.level, target_level):
         stage = s.space.stage_complex(level)

@@ -5,8 +5,8 @@ A canonical map is stored as a simplicial map from a subdivision stage
 into a nerve complex: preimages of open vertex stars are then star-sets
 on the nose, and the defining containment condition is decidable with no
 tolerance.  The two predicates `is_canonical` and `is_selection` are
-provably equivalent for arbitrary vertex maps; both are implemented
-independently so the equivalence stays testable.
+provably equivalent for arbitrary vertex maps; `is_selection` is decided
+by vertices, and a simplex-sweep oracle in `tests/` keeps that testable.
 
 Carrier mapping tables model lower locally constant set-valued mappings:
 a monotone assignment from working-stage simplices to subcomplexes of a
@@ -53,7 +53,7 @@ from .errors import (
     UnknownCoverElement,
     WitnessFailure,
 )
-from .realization import PolyhedralSpace, StarSet, _least_overlap, push_star
+from .realization import PolyhedralSpace, StarSet, _least_overlap
 
 DEFAULT_MAX_LEVEL = 8
 
@@ -69,10 +69,8 @@ class CanonicalMap:
 
 def _pushed_cores(cs: CoverSequence, kappa: int, level: int) -> dict:
     """Core vertex sets of the first kappa levels, re-expressed at `level`."""
-    out = {}
-    for eid, n, star in cs.elements(kappa):
-        out[(eid, n)] = push_star(star, level).core_vertices
-    return out
+    rows = cs.pushed(kappa, level)
+    return {(eid, n): s.core_vertices for n, row in enumerate(rows) for eid, s in row}
 
 
 def _stage_of_map(f: CanonicalMap, cs: CoverSequence) -> SimplicialComplex:
@@ -136,15 +134,19 @@ def is_selection(f: CanonicalMap, cs: CoverSequence, kappa: int | None = None) -
 def why_not_selection(
     f: CanonicalMap, cs: CoverSequence, kappa: int | None = None
 ) -> dict | None:
+    """None for a selection, else a witness on the least unsound simplex.
+
+    tau is unsound iff some v in tau has no known image or tau misses the
+    core of v's image; then v is outside that core and {v} is unsound too.
+    So the least unsound simplex is the singleton of the least-labelled
+    unsound vertex (the empty simplex, which maps to nothing, if none)."""
     kappa = _check_kappa(cs, kappa)
     _stage_of_map(f, cs)
     cores = _pushed_cores(cs, kappa, f.subdivision_level)
-    # The witness lies on the least simplex with a vertex whose image is missing,
-    # unknown or misses it (the empty simplex, which maps to nothing, if none).
     images = f.map.vertex_images
     unsound = (
-        tau for tau in f.map.source.simplices
-        if any(v not in images or not tau & cores.get(images[v], set()) for v in tau)
+        frozenset([v]) for v in f.map.source.vertices
+        if v not in cores.get(images.get(v), ())
     )
     tau = min(unsound, key=simplex_key, default=frozenset())
     for element in sorted(f.map.image(tau), key=lambda e: (e[1], e[0])):

@@ -2,21 +2,31 @@
 carrier-indexed values."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from polycover import (
+    covers,
     cover_sequence,
     coned,
     check_simplicial_map,
     delta_at_carrier,
     delta_subcomplex,
+    dimension,
     full_star,
     kernel_query,
+    mu_driver,
+    n_plus_one,
     nerve,
+    ostrand_refine,
     pad_levels,
+    push_star,
+    realization,
+    refinement_as_cover,
     refinement_map,
     star_set,
+    star_subset,
     unindexed_delta,
 )
 from polycover.errors import (
@@ -26,9 +36,16 @@ from polycover.errors import (
     UnknownCarrier,
     UnknownCoverElement,
 )
-from polycover.fixtures import boundary_space, edge_space, rem_cover, tri_space
+from polycover.fixtures import (
+    boundary_space,
+    edge_space,
+    rem_cover,
+    tet_space,
+    tri_space,
+    vertex_star_cover,
+)
 
-from helpers import random_cover, random_disjoint_cover
+from helpers import random_cover, random_disjoint_cover, reference_refinement_map
 
 
 def fs(*vs):
@@ -293,6 +310,56 @@ class TestRefinementMap:
             nerve(fine, 2).complex, nerve(cs, 2).complex, r.vertex_images
         )
         assert check_simplicial_map(as_nerve)
+
+    def test_least_id_choice_matches_per_pair_reference(self):
+        """Fine elements inside several coarse elements take the least id."""
+        rng = random.Random(1018)
+        several = 0
+        for space in (edge_space(), boundary_space(), tri_space()) * 3:
+            kappa = space.base.dim + 1
+            coarse = pad_levels(
+                random_cover(space, rng, rng.randint(0, 1), kappa, per_level_cover=True),
+                kappa,
+            )
+            fine = refinement_as_cover(ostrand_refine(coarse, kappa - 1))
+            assert refinement_map(fine, coarse, kappa) == (
+                reference_refinement_map(fine, coarse, kappa)
+            )
+            for n in range(kappa):
+                for _, star in fine.levels[n]:
+                    fits = [c for _, c in coarse.levels[n] if star_subset(star, c)]
+                    several += len(fits) >= 2
+        assert several >= 20
+
+
+def _vertex_star_cover_at(space, level: int):
+    family = [(eid, push_star(star, level)) for eid, star in
+              vertex_star_cover(space, 1).levels[0]]
+    return cover_sequence(space, [family] * 3)
+
+
+def test_mu_driver_pushes_each_star_set_to_each_level_once(monkeypatch):
+    """The refinement map, both verifier runs and the three predicate calls
+    read one cache per cover and level; repeated families share pushes."""
+    pushes = Counter()
+    push = realization.push_star
+
+    def counted(s, level):
+        if level != s.level:
+            pushes[s, level] += 1
+        return push(s, level)
+
+    for module in (realization, covers, dimension):
+        monkeypatch.setattr(module, "push_star", counted)
+    for space, level in [(tri_space(), 0), (tri_space(), 1), (tri_space(), 2),
+                         (tet_space(), 0), (tet_space(), 1)]:
+        pushes.clear()
+        cs = _vertex_star_cover_at(space, level)
+        assert mu_driver(cs, n_plus_one(space.base.dim)).success
+        # One push per distinct base-vertex star, to the refinement's level.
+        assert pushes == Counter(
+            {(star, level + 1): 1 for _, star in cs.levels[0]}
+        )
 
 
 def test_pad_levels_repeats_last():
