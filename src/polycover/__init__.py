@@ -14,6 +14,7 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     SubdivisionStage,
+    check_complete,
     check_simplicial_map,
     compose_maps,
     cone,

@@ -215,15 +215,22 @@ class SimplicialMap:
             ) from None
 
 
+def check_complete(m: SimplicialMap, vertices: frozenset | None = None) -> None:
+    """Raise IncompleteMap naming the least-labelled vertex of the source (or
+    of `vertices`) that has no image, so the message is one per input."""
+    pool = m.source.vertices if vertices is None else vertices
+    missing = min(pool.difference(m.vertex_images), key=vlabel, default=None)
+    if missing is not None:
+        raise IncompleteMap(f"no image for vertex {vlabel(missing)}")
+
+
 def check_simplicial_map(m: SimplicialMap) -> bool:
     """True iff the image of every source simplex is a target simplex.
 
     The target is face-closed and a face's image lies inside the image of
     any facet holding it, so the source facets decide.
     """
-    for v in m.source.vertices:
-        if v not in m.vertex_images:
-            raise IncompleteMap(f"no image for vertex {vlabel(v)}")
+    check_complete(m)
     return all(m.image(s) in m.target.simplices for s in m.source.facets)
 
 

@@ -9,16 +9,16 @@ broken variant that deduplicates across levels; it exists as the
 counterexample testbed for prefix monotonicity.
 
 Every kernel decision reduces to one fact: a point with carrier tau lies
-in a star-set iff tau meets its core, so the kernel of a vertex set is
-nonempty iff it lies in the hit set (the elements whose cores it meets)
-of some working-stage simplex.  A face's hit set lies inside that of any
-facet holding it, so nerves and one-per-level complexes are built from
-the hit sets of the working stage's facets alone, once per cover and
-prefix: `CoverSequence.nerves` keeps them.  Only the kernel readers
-(`kernel_query`, `delta_at_carrier`) need every simplex's hit set, the
-cached `CoverSequence.hit_sets`.  `CoverSequence.pushed` keeps the
-families pushed to a finer level.  These caches live and die with their
-cover.  Coverage is decided in one place, `uncovered_vertex`.
+in a star-set iff tau meets its core.  So one index, `CoverSequence.holders`
+(each stage vertex -> the elements whose cores hold it), answers them all.
+The kernel of a vertex set is nonempty iff the set lies in the hit set of
+some working-stage simplex, the union of its vertices' holders.  A face's
+hit set lies inside that of any facet holding it, so nerves and
+one-per-level complexes are built from the facets' hit sets alone, once
+per cover and prefix (`CoverSequence.nerves`).  Only the kernel readers
+need every simplex's, `CoverSequence.hit_sets`.  These caches, and the
+families pushed to finer levels, live and die with their cover.  Coverage
+is decided in one place, `uncovered_vertex`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     UnknownCarrier,
     UnknownCoverElement,
 )
-from .realization import PolyhedralSpace, _hits, push_star
+from .realization import PolyhedralSpace, push_star
 
 FULL_NERVE = "full_nerve"
 DELTA = "delta"
@@ -78,14 +78,11 @@ class CoverSequence:
 
     @cached_property
     def hit_sets(self) -> dict:
-        """Each working-stage simplex tau -> the (id, n) of every level whose
+        """Each working-stage simplex tau -> the (id, n) of every element whose
         core meets tau: the kernel of a vertex set contains the interior of
         tau iff the set lies in tau's hit set.  Equal hit sets are one object."""
-        elements = list(self.elements())
-        simplices = self.working_complex().simplices
-        hits = _hits(simplices, [s.core_vertices for *_, s in elements])
-        named = {h: frozenset(elements[i][:2] for i in h) for h in set(hits.values())}
-        return {tau: named[h] for tau, h in hits.items()}
+        holders = self.holders(self.num_levels, self.working_level)
+        return _hits(self.working_complex().simplices, holders)
 
     @cached_property
     def nerves(self) -> dict:
@@ -110,6 +107,25 @@ class CoverSequence:
                 tuple((eid, stars[star]) for eid, star in row) for row in rows
             )
         return self._pushed[key]
+
+    @cached_property
+    def _holders(self) -> dict:
+        return {}
+
+    def holders(self, kappa: int, level: int) -> dict:
+        """Each vertex of stage `level` in some core of the first kappa
+        levels, pushed to `level` -> the (id, n) of every element whose core
+        holds it, least (n, id) first.  Kept as long as the cover."""
+        key = (kappa, level)
+        if key not in self._holders:
+            held: dict = {}
+            for n, row in enumerate(self.pushed(kappa, level)):
+                for eid, star in row:
+                    element = (eid, n)
+                    for v in star.core_vertices:
+                        held.setdefault(v, []).append(element)
+            self._holders[key] = {v: tuple(h) for v, h in held.items()}
+        return self._holders[key]
 
 
 def cover_sequence(space: PolyhedralSpace, levels) -> CoverSequence:
@@ -204,13 +220,22 @@ def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
     return min(_kernel_carriers(cs, sigma), key=simplex_key, default=None)
 
 
+def _hits(simplices, holders: dict) -> dict:
+    """Each given simplex -> its hit set, the union of its vertices'
+    holders.  Few hit sets are distinct; equal ones are one object."""
+    shared: dict = {}
+    out = {}
+    for s in simplices:
+        hit = frozenset(h for v in s for h in holders.get(v, ()))
+        out[s] = shared.setdefault(hit, hit)
+    return out
+
+
 def _facet_hit_sets(cs: CoverSequence, kappa: int) -> set:
     """The distinct hit sets of the working stage's facets within the first
     kappa levels: every hit set of the stage lies inside one of them."""
-    elements = list(cs.elements(kappa))
-    cores = [star.core_vertices for *_, star in elements]
-    hits = set(_hits(cs.working_complex().facets, cores).values())
-    return {frozenset(elements[i][:2] for i in hit) for hit in hits}
+    holders = cs.holders(kappa, cs.working_level)
+    return set(_hits(cs.working_complex().facets, holders).values())
 
 
 def _one_per_level(hit, kappa: int) -> frozenset:
@@ -287,21 +312,17 @@ def refinement_map(
     # At one level containment is core containment: the coarse elements
     # holding a fine core are those holding every one of its vertices.
     level = max(fine.working_level, coarse.working_level)
+    holders = coarse.holders(kappa_c, level)
     images = {}
     for n, row in enumerate(fine.pushed(kappa_f, level)):
-        targets = coarse.pushed(kappa_c, level)[n]
-        holding: dict = {}
-        for i, (_, cstar) in enumerate(targets):
-            for v in cstar.core_vertices:
-                holding.setdefault(v, []).append(i)
         for eid, star in row:
-            holders = (holding.get(v, ()) for v in star.core_vertices)
-            fits = set(range(len(targets))).intersection(*holders)
+            held = [holders.get(v, ()) for v in star.core_vertices]
+            fits = [c for c in set(held[0]).intersection(*held) if c[1] == n]
             if not fits:
                 raise NotARefinement(
                     f"element {eid!r} at level {n} fits inside no coarse element"
                 )
-            images[(eid, n)] = (targets[min(fits)][0], n)
+            images[(eid, n)] = min(fits)
     source = delta_subcomplex(fine, kappa_f).complex
     target = delta_subcomplex(coarse, kappa_c).complex
     return SimplicialMap(source, target, images)
@@ -316,13 +337,12 @@ def unindexed_delta(cs: CoverSequence, kappa: int | None = None) -> SimplicialCo
     """
     kappa = _check_kappa(cs, kappa)
     rep: dict = {}
-    for eid, n, star in cs.elements(kappa):
-        rep.setdefault(star.core_vertices, f"{eid}@{n}")
-    member_sets = [
-        {rep[star.core_vertices] for _, star in cs.levels[n]} for n in range(kappa)
-    ]
-    names = list(rep.values())
-    hits = _hits(cs.working_complex().facets, list(rep)).values()
-    closure = face_closure({tuple(names[i] for i in h) for h in hits})
+    name = {
+        (eid, n): rep.setdefault(star.core_vertices, f"{eid}@{n}")
+        for eid, n, star in cs.elements(kappa)
+    }
+    member_sets = [{name[eid, n] for eid, _ in cs.levels[n]} for n in range(kappa)]
+    hits = _facet_hit_sets(cs, kappa)
+    closure = face_closure({frozenset(name[e] for e in hit) for hit in hits})
     kept = (s for s in closure if all(len(s & m) <= 1 for m in member_sets))
     return SimplicialComplex(frozenset(kept))

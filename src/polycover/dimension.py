@@ -211,11 +211,8 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     # Two stage vertices share a simplex iff they share an edge.
     adj = [sum(1 << index[w] for w in stage.neighbours[v]) for v in verts]
 
-    padded = pad_levels(cs, kappa)
-    cores = [
-        [push_star(star, common).core_vertices for _, star in padded.levels[fam]]
-        for fam in range(kappa)
-    ]
+    rows = pad_levels(cs, kappa).pushed(kappa, common)
+    cores = [[star.core_vertices for _, star in row] for row in rows]
 
     pushed = [
         push_star(StarSet(space, level, frozenset([v])), common).core_vertices

@@ -308,27 +308,6 @@ def _near(adj: dict, core) -> set:
     return (adj.keys() & core).union(*(adj.get(u, ()) for u in core))
 
 
-def _hits(simplices, cores: list) -> dict:
-    """Each given simplex -> the indices of the cores it meets.
-
-    A simplex meets a core iff one of its vertices lies in it, so one
-    vertex -> core index answers every simplex without testing each core.
-    Few hit sets are distinct; simplices with equal ones share one object.
-    A face's hit set lies inside that of any simplex holding it, so the
-    facets of a stage bound every hit set of the stage.
-    """
-    at: dict = {}
-    for i, core in enumerate(cores):
-        for v in core:
-            at.setdefault(v, []).append(i)
-    shared: dict = {}
-    out = {}
-    for s in simplices:
-        hit = frozenset(i for v in s for i in at.get(v, ()))
-        out[s] = shared.setdefault(hit, hit)
-    return out
-
-
 def _least_overlap(stage: SimplicialComplex, families: list) -> tuple | None:
     """The least (n, i, j), i < j, such that star-sets i and j of family n
     overlap at this stage, or None.  A pass from the last core down keeps,

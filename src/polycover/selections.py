@@ -5,8 +5,10 @@ A canonical map is stored as a simplicial map from a subdivision stage
 into a nerve complex: preimages of open vertex stars are then star-sets
 on the nose, and the defining containment condition is decidable with no
 tolerance.  The two predicates `is_canonical` and `is_selection` are
-provably equivalent for arbitrary vertex maps; `is_selection` is decided
-by vertices, and a simplex-sweep oracle in `tests/` keeps that testable.
+provably equivalent for arbitrary vertex maps.  Both are decided by
+vertices, from `CoverSequence.holders`: a vertex is sound iff its image
+holds it, and a canonical image is a first holder.  Oracles in `tests/`
+sweep simplices instead.  The skeletal predicates walk carriers.
 
 Carrier mapping tables model lower locally constant set-valued mappings:
 a monotone assignment from working-stage simplices to subcomplexes of a
@@ -22,9 +24,10 @@ from dataclasses import dataclass
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
+    check_complete,
+    compose_maps,
     cone,
     coned,
-    simplex_key,
     vlabel,
 )
 from .covers import (
@@ -32,7 +35,7 @@ from .covers import (
     CoverSequence,
     IndexedNerve,
     _check_kappa,
-    _kernel_carriers,
+    _one_per_level,
     cover_sequence,
     delta_subcomplex,
     nerve,
@@ -40,7 +43,6 @@ from .covers import (
 )
 from .errors import (
     ArityError,
-    ComposeError,
     DisjointnessRequired,
     EmptyValue,
     InvalidArgument,
@@ -67,12 +69,6 @@ class CanonicalMap:
     target: IndexedNerve
 
 
-def _pushed_cores(cs: CoverSequence, kappa: int, level: int) -> dict:
-    """Core vertex sets of the first kappa levels, re-expressed at `level`."""
-    rows = cs.pushed(kappa, level)
-    return {(eid, n): s.core_vertices for n, row in enumerate(rows) for eid, s in row}
-
-
 def _stage_of_map(f: CanonicalMap, cs: CoverSequence) -> SimplicialComplex:
     if f.subdivision_level < cs.working_level:
         raise LevelMismatch("map is defined on a coarser stage than the cover")
@@ -82,14 +78,13 @@ def _stage_of_map(f: CanonicalMap, cs: CoverSequence) -> SimplicialComplex:
     return stage
 
 
-def _fibers(f: CanonicalMap, cs: CoverSequence, kappa: int) -> dict:
+def _check_elements(cs: CoverSequence, kappa: int, images) -> None:
+    """Raise UnknownCoverElement at the first image naming no element of
+    the first kappa levels."""
     valid = {(eid, n) for eid, n, _ in cs.elements(kappa)}
-    fibers: dict = {}
-    for v, image in f.map.vertex_images.items():
+    for image in images:
         if image not in valid:
             raise UnknownCoverElement(f"image {image!r} names no cover element")
-        fibers.setdefault(image, set()).add(v)
-    return fibers
 
 
 def is_canonical(f: CanonicalMap, cs: CoverSequence, kappa: int | None = None) -> bool:
@@ -105,21 +100,23 @@ def is_canonical(f: CanonicalMap, cs: CoverSequence, kappa: int | None = None) -
 def why_not_canonical(
     f: CanonicalMap, cs: CoverSequence, kappa: int | None = None
 ) -> dict | None:
-    """None when canonical, else a witness locating the first violation."""
+    """None when canonical, else a witness locating the first violation:
+    the least (level, id) element whose fiber has a vertex outside its core
+    (one not held by it), and that fiber's least-labelled such vertex."""
     kappa = _check_kappa(cs, kappa)
     _stage_of_map(f, cs)
-    cores = _pushed_cores(cs, kappa, f.subdivision_level)
-    fibers = _fibers(f, cs, kappa)
-    for element in sorted(fibers, key=lambda e: (e[1], e[0])):
-        stray = fibers[element] - cores[element]
-        if stray:
-            v = min(stray, key=vlabel)
-            return {
-                "element": list(element),
-                "vertex": vlabel(v),
-                "reason": "star of the fiber is not inside the element",
-            }
-    return None
+    _check_elements(cs, kappa, f.map.vertex_images.values())
+    holders = cs.holders(kappa, f.subdivision_level)
+    stray = min(
+        ((n, eid, vlabel(v)) for v, (eid, n) in f.map.vertex_images.items()
+         if (eid, n) not in holders.get(v, ())),
+        default=None,
+    )
+    if stray is None:
+        return None
+    n, eid, v = stray
+    return {"element": [eid, n], "vertex": v,
+            "reason": "star of the fiber is not inside the element"}
 
 
 def is_selection(f: CanonicalMap, cs: CoverSequence, kappa: int | None = None) -> bool:
@@ -139,26 +136,24 @@ def why_not_selection(
     tau is unsound iff some v in tau has no known image or tau misses the
     core of v's image; then v is outside that core and {v} is unsound too.
     So the least unsound simplex is the singleton of the least-labelled
-    unsound vertex (the empty simplex, which maps to nothing, if none)."""
+    vertex whose image is not one of its holders, if there is one."""
     kappa = _check_kappa(cs, kappa)
     _stage_of_map(f, cs)
-    cores = _pushed_cores(cs, kappa, f.subdivision_level)
+    holders = cs.holders(kappa, f.subdivision_level)
     images = f.map.vertex_images
     unsound = (
-        frozenset([v]) for v in f.map.source.vertices
-        if v not in cores.get(images.get(v), ())
+        v for v in f.map.source.vertices if images.get(v) not in holders.get(v, ())
     )
-    tau = min(unsound, key=simplex_key, default=frozenset())
-    for element in sorted(f.map.image(tau), key=lambda e: (e[1], e[0])):
-        if element not in cores:
-            raise UnknownCoverElement(f"image {element!r} names no cover element")
-        if not (tau & cores[element]):
-            return {
-                "simplex": sorted(vlabel(v) for v in tau),
-                "element": list(element),
-                "reason": "simplex misses the core of an element it maps to",
-            }
-    return None
+    v = min(unsound, key=vlabel, default=None)
+    if v is None:
+        return None
+    (element,) = f.map.image([v])
+    _check_elements(cs, kappa, [element])
+    return {
+        "simplex": [vlabel(v)],
+        "element": list(element),
+        "reason": "simplex misses the core of an element it maps to",
+    }
 
 
 def _check_disjoint_levels(cs: CoverSequence, kappa: int) -> None:
@@ -180,8 +175,8 @@ def build_canonical(
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> CanonicalMap:
     """Construct a canonical map on the working stage by assigning each
-    vertex the smallest (level, id) element whose core contains it, in one
-    pass over the cores in that order.
+    vertex its first holder: the smallest (level, id) element whose core
+    contains it.
 
     The working stage is already fine enough: a vertex star lies inside an
     element exactly when the vertex is in the element's core, and the
@@ -206,13 +201,9 @@ def build_canonical(
         raise LevelBudgetExceeded(
             f"no canonical assignment up to subdivision level {max_level}"
         )
-    # The first kappa levels cover, so the least element is one of theirs.
-    # `elements` walks the levels in order, each row sorted by id by
-    # `cover_sequence`, so the first element holding v is the least.
-    images: dict = {}
-    for eid, n, star in cs.elements(kappa):
-        for v in star.core_vertices:
-            images.setdefault(v, (eid, n))
+    # The first kappa levels cover, so every working vertex has a holder.
+    holders = cs.holders(kappa, cs.working_level)
+    images = {v: held[0] for v, held in holders.items()}
     return CanonicalMap(
         cs.working_level, SimplicialMap(stage, target.complex, images), target
     )
@@ -220,12 +211,8 @@ def build_canonical(
 
 def transfer_selection(h: CanonicalMap, r: SimplicialMap) -> CanonicalMap:
     """Compose a canonical map with a refinement map into the coarser nerve."""
-    if h.map.target != r.source:
-        raise ComposeError("refinement map does not start at the map's nerve")
-    images = {v: r.vertex_images[w] for v, w in h.map.vertex_images.items()}
-    composed = SimplicialMap(h.map.source, r.target, images)
     return CanonicalMap(
-        h.subdivision_level, composed, IndexedNerve(r.target, h.target.kind)
+        h.subdivision_level, compose_maps(r, h.map), IndexedNerve(r.target, h.target.kind)
     )
 
 
@@ -244,18 +231,15 @@ def extract_c_refinement(
         raise NotCanonical("extraction needs a map into the one-per-level nerve")
     if not is_canonical(f, cs, kappa):
         raise NotCanonical("the map fails the canonical-map predicate")
-    fibers = _fibers(f, cs, kappa)
-    families = []
-    for n in range(kappa):
-        row = []
-        for eid, _star in cs.levels[n]:
-            core = fibers.get((eid, n))
-            if core:
-                row.append(
-                    (eid, StarSet(cs.space, f.subdivision_level, frozenset(core)))
-                )
-        families.append(tuple(row))
-    return families
+    fibers: dict = {}
+    for v, image in f.map.vertex_images.items():
+        fibers.setdefault(image, set()).add(v)
+    level = f.subdivision_level
+    return [
+        tuple((eid, StarSet(cs.space, level, frozenset(fibers[eid, n])))
+              for eid, _ in cs.levels[n] if (eid, n) in fibers)
+        for n in range(kappa)
+    ]
 
 
 def cone_extend(
@@ -282,8 +266,9 @@ def cone_extend(
         raise SkeletonViolation(
             f"source dimension {g.source.dim} exceeds chain bound {n}"
         )
+    check_complete(g)
     for k in range(n + 1):
-        for s in g.source.simplices:
+        for s in g.source.sorted_simplices():
             if len(s) <= k + 1 and g.image(s) not in chain[k].simplices:
                 raise SkeletonViolation(
                     f"image of {sorted(vlabel(u) for u in s)} is outside chain member {k}"
@@ -405,14 +390,8 @@ def is_skeletal_selection(
         raise ArityError("map is not defined on the prefix complex")
     if cs.space != phi.space or cs.working_level != phi.level:
         raise ArityError("cover and tables disagree on the working stage")
-    for sigma in f.source.simplices:
-        image = f.image(sigma)
-        carriers = _kernel_carriers(cs, sigma)
-        for k in range(len(sigma) - 1, n + 1):
-            for tau in carriers:
-                if image not in phi.tables[k][tau].simplices:
-                    return False
-    return True
+    check_complete(f)
+    return _maps_into_tables(f, cs, phi, n, skeletal=True)
 
 
 def is_setvalued_selection(
@@ -423,12 +402,28 @@ def is_setvalued_selection(
     selection for the level-n tables."""
     if n >= len(phi.tables) or n >= cs.num_levels:
         raise ArityError("n exceeds the tables or the cover levels")
-    prefix = delta_subcomplex(cs, n + 1).complex
-    for sigma in prefix.simplices:
-        image = f.image(sigma)
-        for tau in _kernel_carriers(cs, sigma):
-            if image not in phi.tables[n][tau].simplices:
-                return False
+    check_complete(f, delta_subcomplex(cs, n + 1).complex.vertices)
+    return _maps_into_tables(f, cs, phi, n, skeletal=False)
+
+
+def _maps_into_tables(
+    f: SimplicialMap, cs: CoverSequence, phi: CarrierMappingSequence, n: int,
+    skeletal: bool,
+) -> bool:
+    """True iff each one-per-level simplex sigma of the first n+1 levels
+    maps into table k, for k from |sigma|-1 (if skeletal) or n up to n, at
+    every working carrier tau whose kernel holds sigma: the one-per-level
+    subsets of tau's hit set (`delta_at_carrier`).  Carriers with one hit
+    set are walked together, so each sigma's image is taken once per set."""
+    carriers: dict = {}
+    for tau, hit in cs.hit_sets.items():
+        carriers.setdefault(hit, []).append(tau)
+    for hit, taus in carriers.items():
+        for sigma in _one_per_level(hit, n + 1):
+            image = f.image(sigma)
+            for k in range(len(sigma) - 1 if skeletal else n, n + 1):
+                if any(image not in phi.tables[k][tau].simplices for tau in taus):
+                    return False
     return True
 
 

@@ -531,6 +531,78 @@ def reference_carrier_monotone(stage, table) -> bool:
     )
 
 
+# -- holder oracles -----------------------------------------------------------
+# The library answers "which elements hold stage vertex v?" from one cached
+# index per cover and level.  These test every vertex against every core,
+# pushed by stage sweeps, and decide the canonical witness by fibers and
+# the skeletal predicates by sweeping the stage once per prefix simplex.
+
+
+def reference_holders(cs, kappa: int, level: int) -> dict:
+    """Each vertex of stage `level` in some core of the first kappa levels,
+    pushed to `level` -> its elements in (level, id) order."""
+    cores = sorted(
+        (((eid, n), reference_push_star(star, level).core_vertices)
+         for eid, n, star in cs.elements(kappa)),
+        key=lambda e: (e[0][1], e[0][0]),
+    )
+    out = {}
+    for v in cs.space.stage_complex(level).vertices:
+        held = tuple(element for element, core in cores if v in core)
+        if held:
+            out[v] = held
+    return out
+
+
+def reference_why_not_canonical(f, cs, kappa=None):
+    """The canonical witness by fibers: the first element in (level, id)
+    order whose fiber leaves its pushed core, and the least-labelled
+    vertex that does."""
+    kappa = _check_kappa(cs, kappa)
+    cores = {
+        (eid, n): reference_push_star(star, f.subdivision_level).core_vertices
+        for eid, n, star in cs.elements(kappa)
+    }
+    fibers: dict = {}
+    for v, image in f.map.vertex_images.items():
+        if image not in cores:
+            raise UnknownCoverElement(f"image {image!r} names no cover element")
+        fibers.setdefault(image, set()).add(v)
+    for element in sorted(fibers, key=lambda e: (e[1], e[0])):
+        stray = fibers[element] - cores[element]
+        if stray:
+            return {
+                "element": list(element),
+                "vertex": min(vlabel(v) for v in stray),
+                "reason": "star of the fiber is not inside the element",
+            }
+    return None
+
+
+def reference_is_skeletal_selection(f, cs, phi) -> bool:
+    """Every prefix simplex sigma maps into table k over every carrier of
+    its kernel, for each k from |sigma|-1 up to the last level."""
+    n = cs.num_levels - 1
+    for sigma in f.source.simplices:
+        image = f.image(sigma)
+        for tau in reference_kernel_carriers(cs, sigma):
+            for k in range(len(sigma) - 1, n + 1):
+                if image not in phi.tables[k][tau].simplices:
+                    return False
+    return True
+
+
+def reference_is_setvalued_selection(f, cs, phi, n: int) -> bool:
+    """Every simplex of the level-<=n prefix complex maps into table n over
+    every carrier of its kernel."""
+    for sigma in delta_subcomplex(cs, n + 1).complex.simplices:
+        image = f.image(sigma)
+        for tau in reference_kernel_carriers(cs, sigma):
+            if image not in phi.tables[n][tau].simplices:
+                return False
+    return True
+
+
 # -- search oracle ------------------------------------------------------------
 # A search that re-derives, at every node, each unassigned vertex's viable
 # families from the assigned components around it (`narrowed`).  The library

@@ -3,8 +3,9 @@
 `check_simplicial_map` tests source facets only; `tests/helpers.py` keeps
 a check on every source simplex as the oracle.  Nerves and one-per-level
 complexes are kept per cover and prefix, so `refinement_map` and
-`build_canonical` share one object and `mu_driver` builds each once.
-(`tests/test_hit_index.py` checks the facet-built complexes themselves.)
+`build_canonical` share one object and `mu_driver` builds each once, as it
+does each holders index.  (`tests/test_hit_index.py` checks the
+facet-built complexes and the holders themselves.)
 """
 
 import random
@@ -164,7 +165,15 @@ def test_mu_driver_builds_each_complex_once_and_no_hit_index(monkeypatch):
     monkeypatch.setattr(CoverSequence, "hit_sets", property(refused))
     for level in (0, 1, 2):
         built.clear()
-        assert mu_driver(_tri_cover_at(level), n_plus_one(2)).success
-        keys = {(id(cs), kappa) for cs, kappa in built}
+        cs = _tri_cover_at(level)
+        assert mu_driver(cs, n_plus_one(2)).success
+        keys = {(id(c), kappa) for c, kappa in built}
         # One one-per-level complex for the padded cover, one for the fine.
         assert len(keys) == len(built) == 2
+        # Three holders indexes, each kept by its cover: the padded cover's
+        # (which is cs) at its level for its nerve and at the fine level
+        # for the refinement map and both predicates, and the fine cover's
+        # for its nerve and the canonical images.
+        (fine,) = {c for c, _ in built} - {cs}
+        assert set(cs._holders) == {(3, level), (3, level + 1)}
+        assert set(fine._holders) == {(3, level + 1)}

@@ -17,6 +17,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -287,9 +289,30 @@ CASES = {
         ],
         None,
     ),
+    # the least-labelled vertex with no image is named, whatever the hash seed
+    "selection-skeletal-incomplete": (
+        [
+            "selection",
+            "--cover",
+            "skeletal.cover.json",
+            "--map",
+            "skeletal_empty.map.json",
+            "--predicate",
+            "skeletal",
+            "--tables",
+            "skeletal.tables.json",
+        ],
+        None,
+    ),
+    "cone-extend-incomplete": (["cone-extend", "cone_incomplete.json"], None),
+    # both source edges leave chain member 1; the least is reported
+    "cone-extend-two-edges": (
+        ["cone-extend", "cone_two_edges.json"],
+        "predicate_result",
+    ),
 }
 
-# input document -> schema it conforms to (the skeletal map has none, and the
+# input document -> schema it conforms to (the skeletal maps have none, and the
 # negative-level map and the empty-simplex tables break their schemas on
 # purpose; invalid.cover.txt is not JSON at all)
 INPUT_SCHEMAS = {
@@ -298,6 +321,8 @@ INPUT_SCHEMAS = {
     "clash.cover.json": "cover_sequence",
     "cone.json": "cone_extend_input",
     "cone_bad_witness.json": "cone_extend_input",
+    "cone_incomplete.json": "cone_extend_input",
+    "cone_two_edges.json": "cone_extend_input",
     "cone_witness_failure.json": "cone_extend_input",
     "coarse.map.json": "canonical_map",
     "comma.cover.json": "cover_sequence",
@@ -312,6 +337,7 @@ INPUT_SCHEMAS = {
     "rem.nerve.map.json": "canonical_map",
     "skeletal.cover.json": "cover_sequence",
     "skeletal.map.json": None,
+    "skeletal_empty.map.json": None,
     "skeletal.tables.json": "carrier_tables",
     "split.cover.json": "cover_sequence",
     "tet1.cover.json": "cover_sequence",
@@ -383,6 +409,38 @@ def test_golden_inputs_conform_to_schemas(validators):
         if schema is not None:
             doc = json.loads((INPUTS / name).read_text(encoding="utf-8"))
             assert schema_errors(validators[schema], doc) == [], name
+
+
+# cases whose message once followed set iteration order, so the hash seed
+SEED_CASES = [
+    "selection-skeletal-incomplete",
+    "cone-extend-incomplete",
+    "cone-extend-two-edges",
+]
+
+
+def test_seed_cases_match_golden_under_three_hash_seeds():
+    """Each run of the suite has one hash seed; these cases also run in
+    fresh interpreters under seeds 0, 1 and 2."""
+    expected = load_expected()
+    want = [
+        [expected[name]["exit"], (GOLDEN / f"{name}.stdout").read_text("utf-8"),
+         expected[name]["stderr"]]
+        for name in SEED_CASES
+    ]
+    script = (
+        "import json, sys, test_golden as t; "
+        "print(json.dumps([t.run_case(t.CASES[n][0]) for n in sys.argv[1:]]))"
+    )
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-c", script, *SEED_CASES],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(run.stdout) == want, seed
 
 
 def record() -> None:

@@ -1,9 +1,11 @@
-"""The hit index against the constructions it replaced.
+"""The holders and hit indexes against the constructions they replaced.
 
 Nerves and one-per-level complexes are read off the hit sets of the
 working facets, carrier values and kernels off each working simplex's hit
-set; `tests/helpers.py` keeps the earlier per-core scans and the pairwise
-`maximal_simplices` as oracles.
+set, and each hit set is the union of its vertices' holders.  Refinement
+maps and the skeletal predicates read the same indexes.  `tests/helpers.py`
+keeps the earlier per-core scans, per-pair containment tests, per-simplex
+kernel sweeps and the pairwise `maximal_simplices` as oracles.
 """
 
 import gc
@@ -13,16 +15,23 @@ import weakref
 
 from polycover import (
     PolyhedralSpace,
+    SimplicialMap,
+    StarSet,
+    carrier_tables,
     cover_sequence,
     delta_at_carrier,
     delta_subcomplex,
+    is_setvalued_selection,
+    is_skeletal_selection,
     kernel_query,
     maximal_simplices,
     nerve,
     push_star,
+    refinement_map,
     simplex_key,
     unindexed_delta,
     validate_complex,
+    vlabel,
 )
 from polycover.covers import _kernel_carriers
 from polycover.fixtures import (
@@ -32,6 +41,7 @@ from polycover.fixtures import (
     tri_space,
     vertex_star_cover,
 )
+from polycover.errors import NotARefinement
 from polycover.realization import _least_overlap
 
 from helpers import (
@@ -40,9 +50,14 @@ from helpers import (
     random_disjoint_cover,
     reference_delta_at_carrier,
     reference_delta_subcomplex,
+    reference_holders,
+    reference_is_setvalued_selection,
+    reference_is_skeletal_selection,
     reference_kernel_carriers,
     reference_maximal_simplices,
     reference_nerve_simplices,
+    reference_push_star,
+    reference_refinement_map,
     reference_unindexed_delta,
     sweep_least_overlap,
     two_triangles_space,
@@ -198,3 +213,133 @@ def test_equal_hit_sets_are_one_object():
     assert len(hits) == len(space.stage_complex(2).simplices)
     distinct = set(hits.values())
     assert len({id(hit) for hit in hits.values()}) == len(distinct) == 15
+
+
+def _ids_against_levels(cs):
+    """cs with each level-n id prefixed by a letter that falls with n, so
+    that id order is the reverse of level order."""
+    return cover_sequence(cs.space, [
+        [("zyx"[n] + eid, star) for eid, star in row] for n, row in enumerate(cs.levels)
+    ])
+
+
+def test_holders_match_oracle():
+    """Holders of every prefix at the working level and, below stage 3, one
+    level finer: the elements whose pushed cores hold each vertex, least
+    (level, id) first, also where ids sort against levels."""
+    orders = set()
+    for cs in seeded_covers(19):
+        for c in (cs, _ids_against_levels(cs)):
+            w = c.working_level
+            for kappa in range(1, c.num_levels + 1):
+                for level in (w, w + 1) if w < 2 else (w,):
+                    held = c.holders(kappa, level)
+                    assert held == reference_holders(c, kappa, level)
+                    orders.update(len({n for _, n in h}) for h in held.values())
+    assert {1, 2, 3} <= orders
+
+
+def _split_cover(cs, rng):
+    """A cover refining cs level by level: each element's core, pushed to
+    the working level or one finer, cut in one or two parts.  A part may
+    also fit other elements, of its level or another; sometimes one more
+    element, two random vertices, fits none."""
+    level = cs.working_level + (rng.random() < 0.5 and cs.working_level < 2)
+    verts = sorted(cs.space.stage_complex(level).vertices, key=vlabel)
+    families = []
+    for row in cs.levels:
+        family = []
+        for _, star in row:
+            core = sorted(reference_push_star(star, level).core_vertices, key=vlabel)
+            rng.shuffle(core)
+            cut = rng.randint(1, len(core))
+            for part in (core[:cut], core[cut:]):
+                if part:
+                    family.append((f"F{len(family)}", StarSet(cs.space, level, frozenset(part))))
+        families.append(family)
+    if rng.random() < 0.3:
+        stray = frozenset(rng.sample(verts, min(2, len(verts))))
+        rng.choice(families).append(("Z", StarSet(cs.space, level, stray)))
+    return cover_sequence(cs.space, families)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except NotARefinement as err:
+        return str(err)
+
+
+def test_refinement_maps_match_per_pair_oracle():
+    """The least same-level coarse element holding every vertex of a fine
+    core, on covers whose levels overlap or not; the oracle tests each
+    (fine, coarse) pair by `star_subset`."""
+    rng = random.Random(23)
+    outcomes = []
+    for space_fn, levels in GROUNDS:
+        for level in levels:
+            for overlapping in (False, True, True):
+                coarse = random_cover(
+                    space_fn(), rng, level, rng.randint(1, 3), per_level_cover=overlapping
+                )
+                fine = _split_cover(coarse, rng)
+                for kappa in range(1, coarse.num_levels + 1):
+                    got = _outcome(lambda: refinement_map(fine, coarse, kappa))
+                    assert got == _outcome(
+                        lambda: reference_refinement_map(fine, coarse, kappa)
+                    )
+                    outcomes.append(isinstance(got, str))
+    assert set(outcomes) == {True, False}
+
+
+NAMES = ("x0", "x1", "x2", "x3")
+SIMPLEX = validate_complex([NAMES])
+
+
+def _tables(kernels: dict, levels: int, f, keep) -> list:
+    """Per level k, the carrier table holding at tau x0 and the image of each
+    one-per-level simplex sigma of kernels[tau] with keep(|sigma|, k)."""
+    return [
+        {
+            tau: validate_complex(
+                [f.image(sigma) for sigma in kernel if keep(len(sigma), k)] + [{"x0"}]
+            )
+            for tau, kernel in kernels.items()
+        }
+        for k in range(levels)
+    ]
+
+
+def test_skeletal_predicates_match_kernel_sweeps():
+    """A random map on the prefix complex with tables built from its images
+    (table k holds every kernel simplex of at most k+1 vertices, so the map
+    passes), the map with one image changed, and tables holding only the
+    simplices of exactly k+1 vertices.  One arbitrary and one per-level
+    disjoint cover per ground and level."""
+    rng = random.Random(31)
+    verdicts = set()
+    for cs in itertools.islice(seeded_covers(29), 0, None, 2):
+        source = delta_subcomplex(cs, cs.num_levels).complex
+        vertices = sorted(source.vertices, key=vlabel)
+        images = {v: rng.choice(NAMES) for v in vertices}
+        f = SimplicialMap(source, SIMPLEX, images)
+        moved = dict(images)
+        moved[rng.choice(vertices)] = rng.choice(NAMES)
+        g = SimplicialMap(source, SIMPLEX, moved)
+        kernels = {
+            tau: reference_delta_at_carrier(cs, cs.num_levels, tau)
+            for tau in cs.working_complex().simplices
+        }
+        upto = _tables(kernels, cs.num_levels, f, lambda size, k: size <= k + 1)
+        exact = _tables(kernels, cs.num_levels, f, lambda size, k: size == k + 1)
+        for m, tables in ((f, upto), (g, upto), (f, exact)):
+            phi = carrier_tables(cs.space, cs.working_level, SIMPLEX, tables)
+            skeletal = is_skeletal_selection(m, cs, phi)
+            assert skeletal == reference_is_skeletal_selection(m, cs, phi)
+            for n in range(cs.num_levels):
+                setvalued = is_setvalued_selection(m, cs, phi, n)
+                assert setvalued == reference_is_setvalued_selection(m, cs, phi, n)
+                verdicts.add(("setvalued", setvalued))
+            verdicts.add(("skeletal", skeletal, tables is exact))
+    assert {("skeletal", True, False), ("skeletal", False, False),
+            ("skeletal", False, True), ("setvalued", True), ("setvalued", False)} <= verdicts

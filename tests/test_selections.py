@@ -2,6 +2,7 @@
 carrier-table machinery."""
 
 import random
+import re
 
 import pytest
 
@@ -57,6 +58,7 @@ from helpers import (
     random_disjoint_cover,
     reference_canonical_images,
     reference_carrier_monotone,
+    reference_why_not_canonical,
     reference_why_not_selection,
 )
 
@@ -329,6 +331,49 @@ class TestConeExtend:
             cone_extend(g, "v", "q", [validate_complex([{"ya"}, {"yb"}]), t])
 
 
+class TestOneMessagePerInput:
+    """Several vertices lack an image, or several simplices break the
+    chain: the least-labelled vertex, or the least simplex, is named, so
+    the message does not depend on the hash seed."""
+
+    def test_least_vertex_without_image(self):
+        names = "gfedcba"
+        points = validate_complex([{x} for x in names])
+        t = validate_complex([{"ya", "q"}])
+        g = SimplicialMap(points, t, {"a": "ya"})
+        with pytest.raises(IncompleteMap, match="no image for vertex b$"):
+            check_simplicial_map(g)
+        with pytest.raises(IncompleteMap, match="no image for vertex b$"):
+            cone_extend(g, "v", "q", [validate_complex([{"ya"}]), t])
+
+    def test_least_prefix_vertex_without_image(self):
+        space = tri_space()
+        stage = space.stage_complex(1)
+        target = validate_complex([{"y"}])
+        phi = carrier_tables(space, 1, target, [{tau: target for tau in stage.simplices}])
+        cs, f0 = bootstrap_skeletal_selection(phi)
+        least = min(vlabel(v) for v in f0.source.vertices)
+        kept = max(f0.source.vertices, key=vlabel)
+        f = SimplicialMap(f0.source, target, {kept: "y"})
+        message = f"no image for vertex {re.escape(least)}$"
+        with pytest.raises(IncompleteMap, match=message):
+            is_skeletal_selection(f, cs, phi)
+        with pytest.raises(IncompleteMap, match=message):
+            is_setvalued_selection(f, cs, phi, 0)
+
+    def test_least_simplex_outside_the_chain(self):
+        names = "abcdefgh"
+        edges = validate_complex([{names[i], names[i + 1]} for i in range(0, 8, 2)])
+        points = validate_complex([{"y" + x} for x in names])
+        s1 = coned(points, "q")
+        t = coned(validate_complex([{"y" + x for x in names}]), "q")
+        g = SimplicialMap(edges, t, {x: "y" + x for x in names})
+        with pytest.raises(
+            SkeletonViolation, match=re.escape("image of ['a', 'b'] is outside chain member 1")
+        ):
+            cone_extend(g, "v", "q", [points, s1, t])
+
+
 def edge_phi(levels: int = 5):
     """Carrier tables on the edge at level 0: q-coned values keyed by the
     vertices each carrier touches."""
@@ -553,6 +598,50 @@ class TestAgainstSortedScans:
             assert got == _outcome(reference_why_not_selection, f, cs, kappa)
             outcomes.add(got[0] if isinstance(got, tuple) else type(got).__name__)
         assert outcomes == {"NoneType", "dict", "IncompleteMap", "UnknownCoverElement"}
+
+    def test_map_witnesses_match_fiber_and_sweep_oracles(self):
+        """Maps at the working level or one finer, each barycenter sent to
+        the canonical image of a vertex of its simplex, then one or two
+        images moved to another element or to none: both witnesses, read
+        off the holders, against the fiber and simplex-sweep oracles."""
+        rng = random.Random(1019)
+        outcomes = set()
+        for _ in range(150):
+            space = rng.choice([edge_space(), boundary_space(), tri_space()])
+            cs = random_cover(space, rng, rng.randint(0, 1), rng.randint(1, 3))
+            h = build_canonical(cs, target_kind=FULL_NERVE)
+            level = cs.working_level + rng.randint(0, 1)
+            stage = space.stage_complex(level)
+            images = {
+                v: h.map.vertex_images[
+                    v if level == cs.working_level else rng.choice(sorted(v.of, key=vlabel))
+                ]
+                for v in sorted(stage.vertices, key=vlabel)
+            }
+            elements = [(eid, n) for eid, n, _ in cs.elements()]
+            for v in rng.sample(sorted(images, key=vlabel), rng.randint(1, 2)):
+                if rng.random() < 0.2:
+                    del images[v]
+                else:
+                    images[v] = rng.choice(elements)
+            f = CanonicalMap(level, SimplicialMap(stage, h.map.target, images), h.target)
+            kappa = rng.choice([None, rng.randint(1, cs.num_levels)])
+            for mine, oracle in (
+                (why_not_canonical, reference_why_not_canonical),
+                (why_not_selection, reference_why_not_selection),
+            ):
+                got = _outcome(mine, f, cs, kappa)
+                assert got == _outcome(oracle, f, cs, kappa)
+                kind = got[0] if isinstance(got, tuple) else type(got).__name__
+                outcomes.add((mine.__name__, kind))
+        assert {
+            ("why_not_canonical", "NoneType"),
+            ("why_not_canonical", "dict"),
+            ("why_not_canonical", "UnknownCoverElement"),
+            ("why_not_selection", "NoneType"),
+            ("why_not_selection", "dict"),
+            ("why_not_selection", "IncompleteMap"),
+        } <= outcomes
 
     def test_monotonicity_matches_all_pairs_scan(self):
         """Random monotone tables, some with one value grown or shrunk."""
