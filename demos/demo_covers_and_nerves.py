@@ -44,8 +44,8 @@ print("kernel of {(Q',0),(P',1)}:", kernel_query(cs, [("Q'", 0), ("P'", 1)]))
 # The nerve of the first two levels records every overlap; the one-per-level
 # subcomplex additionally refuses pairs drawn from the same level.
 print()
-show(nerve(cs, 2).complex, "nerve of levels 0-1")
-show(delta_subcomplex(cs, 2).complex, "one-per-level subcomplex")
+show(nerve(cs, 2), "nerve of levels 0-1")
+show(delta_subcomplex(cs, 2), "one-per-level subcomplex")
 
 # Every point of the space sees a sub-collection: the simplices whose kernel
 # contains it.  Points only know their carrier, so that value is indexed by
@@ -59,7 +59,7 @@ show(delta_at_carrier(cs, 2, frozenset({m})), "value at the midpoint carrier")
 # and then abruptly illegal once level 2 enters.
 u2, u3 = unindexed_delta(cs, 2), unindexed_delta(cs, 3)
 print("\nindexed prefixes monotone:",
-      delta_subcomplex(cs, 2).complex.subcomplex_of(delta_subcomplex(cs, 3).complex))
+      delta_subcomplex(cs, 2).subcomplex_of(delta_subcomplex(cs, 3)))
 print("unindexed prefixes monotone:", u2.subcomplex_of(u3))
 print("offending pair present at kappa=2:", frozenset({"P@0", "Q@1"}) in u2.simplices)
 print("still present at kappa=3:", frozenset({"P@0", "Q@1"}) in u3.simplices)

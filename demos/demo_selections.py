@@ -50,9 +50,9 @@ print("canonical:", is_canonical(h, fine, 2), " selection:", is_selection(h, fin
 
 # The two predicates are two readings of the same condition (star preimages
 # inside elements vs simplices meeting the cores they map onto) and agree on
-# every vertex map, broken ones included.
+# every total vertex map, broken ones included.
 bad_images = {v: ("P'", 0) for v in h.map.source.vertices}
-bad = CanonicalMap(1, SimplicialMap(h.map.source, h.map.target, bad_images), h.target)
+bad = CanonicalMap(1, SimplicialMap(h.map.source, h.map.target, bad_images), h.kind)
 print("constant-to-P' map:", is_canonical(bad, fine, 2), is_selection(bad, fine, 2))
 
 # Since the fine families refine the original cover, composing with the

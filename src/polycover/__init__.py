@@ -31,7 +31,6 @@ from .complexes import (
 )
 from .covers import (
     CoverSequence,
-    IndexedNerve,
     DELTA,
     FULL_NERVE,
     cover_sequence,

@@ -210,14 +210,13 @@ def _cmd_nerve(args) -> int:
     if args.format == "dot":
         _emit(jsonio.nerve_to_dot(built, kind), args.out)
     else:
-        _emit(jsonio.dumps(jsonio.nerve_to_json(built)), args.out)
+        _emit(jsonio.dumps(jsonio.nerve_to_json(built, kind)), args.out)
     return 0
 
 
 def _cmd_canonical(args) -> int:
     cs = jsonio.cover_from_json(_read_json(args.cover, "cover"))
-    kind = DELTA if args.target == DELTA else FULL_NERVE
-    f = build_canonical(cs, args.kappa, kind, args.max_level)
+    f = build_canonical(cs, args.kappa, args.target, args.max_level)
     _emit(jsonio.dumps(jsonio.canonical_map_to_json(f)), args.out)
     return 0
 

@@ -7,11 +7,11 @@ vertex ids, and a complex stores the full face-closed family; its facets
 simplicial iff it sends every source facet to a target simplex, since the
 target is face-closed and a face's image lies inside its facet's.
 Subdivision vertices are `Barycenter` tokens naming the simplex they
-subdivide, so stages are reproducible and maps across stages are
-well-defined.  A token is the 1-tuple of its simplex, hashed and compared
-in C by value.  A tower makes each token once, one per parent simplex, and
-every chain shares it; a token's label is built once, from its members'
-labels, and kept on it.
+subdivide, their carrier `b.of`, so stages are reproducible and maps
+across stages are well-defined.  A token is the 1-tuple of its simplex,
+hashed and compared in C by value.  A tower makes each token once, one per
+parent simplex, and every chain shares it; a token's label is built once,
+from its members' labels, and kept on it.
 """
 
 from __future__ import annotations
@@ -250,18 +250,17 @@ def identity_map(c: SimplicialComplex) -> SimplicialMap:
 class SubdivisionStage:
     """One stage of the barycentric subdivision tower.
 
-    Level-m vertices are Barycenter tokens over level-(m-1) simplices;
-    level-m simplices are the chains of level-(m-1) simplices.  At level 0
-    the carrier map is empty (base vertices subdivide nothing).
+    Level-m vertices are Barycenter tokens over level-(m-1) simplices, each
+    naming its carrier as `b.of`; level-m simplices are the chains of
+    level-(m-1) simplices.  Base vertices subdivide nothing.
     """
 
     level: int
     complex: SimplicialComplex
-    carrier_of_vertex: Mapping
 
 
 def initial_stage(c: SimplicialComplex) -> SubdivisionStage:
-    return SubdivisionStage(0, c, {})
+    return SubdivisionStage(0, c)
 
 
 def subdivide(stage: SubdivisionStage) -> SubdivisionStage:
@@ -282,5 +281,4 @@ def subdivide(stage: SubdivisionStage) -> SubdivisionStage:
 
     chains = (ch for ending in chains_ending.values() for ch in ending)
     new_simplices = frozenset(map(frozenset, chains))
-    carriers = {b: s for s, b in tokens.items()}
-    return SubdivisionStage(stage.level + 1, SimplicialComplex(new_simplices), carriers)
+    return SubdivisionStage(stage.level + 1, SimplicialComplex(new_simplices))

@@ -14,11 +14,11 @@ in a star-set iff tau meets its core.  So one index, `CoverSequence.holders`
 The kernel of a vertex set is nonempty iff the set lies in the hit set of
 some working-stage simplex, the union of its vertices' holders.  A face's
 hit set lies inside that of any facet holding it, so nerves and
-one-per-level complexes are built from the facets' hit sets alone, once
-per cover and prefix (`CoverSequence.nerves`).  Only the kernel readers
-need every simplex's, `CoverSequence.hit_sets`.  These caches, and the
-families pushed to finer levels, live and die with their cover.  Coverage
-is decided in one place, `uncovered_vertex`.
+one-per-level complexes, plain complexes, are built from the facets' hit
+sets alone, once per cover, kind and prefix (`CoverSequence.nerves`).
+Only the kernel readers need every simplex's, `CoverSequence.hit_sets`.
+These caches, and the families pushed to finer levels, live and die with
+their cover.  Coverage is decided in one place, `uncovered_vertex`.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class CoverSequence:
 
     @cached_property
     def nerves(self) -> dict:
-        """(kind, kappa) -> the IndexedNerve of that kind over the first
-        kappa levels, filled by `nerve` and `delta_subcomplex` on first use."""
+        """(kind, kappa) -> the complex of that kind over the first kappa
+        levels, filled by `nerve` and `delta_subcomplex` on first use."""
         return {}
 
     @cached_property
@@ -97,7 +97,10 @@ class CoverSequence:
     def pushed(self, kappa: int, level: int) -> tuple:
         """The first kappa families with every star-set re-expressed at
         `level`.  Each distinct star-set is pushed once per cover and level;
-        the families are kept, per (kappa, level), as long as the cover."""
+        the families are kept, per (kappa, level), as long as the cover.
+        At the working level they are the cover's own."""
+        if level == self.working_level:
+            return self.levels[:kappa]
         key = (kappa, level)
         if key not in self._pushed:
             rows = self.levels[:kappa]
@@ -181,14 +184,6 @@ def level_covers(cs: CoverSequence, n: int) -> bool:
     return uncovered_vertex(cs.working_complex(), cores) is None
 
 
-@dataclass(frozen=True)
-class IndexedNerve:
-    """The nerve of a cover-sequence prefix, or its one-per-level subcomplex."""
-
-    complex: SimplicialComplex
-    kind: str
-
-
 def _check_kappa(cs: CoverSequence, kappa: int | None) -> int:
     if kappa is None:
         return cs.num_levels
@@ -248,7 +243,7 @@ def _one_per_level(hit, kappa: int) -> frozenset:
     return frozenset(out - {frozenset()})
 
 
-def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> IndexedNerve:
+def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> SimplicialComplex:
     """The complex of this kind over the first kappa levels, built from the
     facets' hit sets on the first request and kept in `cs.nerves`."""
     kappa = _check_kappa(cs, kappa)
@@ -259,12 +254,12 @@ def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> IndexedNe
             simplices = face_closure(hits)
         else:
             simplices = frozenset().union(*(_one_per_level(h, kappa) for h in hits))
-        built = IndexedNerve(SimplicialComplex(simplices), kind)
+        built = SimplicialComplex(simplices)
         cs.nerves[kind, kappa] = built
     return built
 
 
-def nerve(cs: CoverSequence, kappa: int | None = None) -> IndexedNerve:
+def nerve(cs: CoverSequence, kappa: int | None = None) -> SimplicialComplex:
     """The nerve of the first kappa levels, indexed by (id, level) pairs.
 
     Simplices are exactly the kernel-nonempty vertex sets.  Since the
@@ -274,7 +269,7 @@ def nerve(cs: CoverSequence, kappa: int | None = None) -> IndexedNerve:
     return _indexed_nerve(cs, kappa, FULL_NERVE)
 
 
-def delta_subcomplex(cs: CoverSequence, kappa: int | None = None) -> IndexedNerve:
+def delta_subcomplex(cs: CoverSequence, kappa: int | None = None) -> SimplicialComplex:
     """The subcomplex of the nerve with at most one vertex per level."""
     return _indexed_nerve(cs, kappa, DELTA)
 
@@ -323,9 +318,9 @@ def refinement_map(
                     f"element {eid!r} at level {n} fits inside no coarse element"
                 )
             images[(eid, n)] = min(fits)
-    source = delta_subcomplex(fine, kappa_f).complex
-    target = delta_subcomplex(coarse, kappa_c).complex
-    return SimplicialMap(source, target, images)
+    return SimplicialMap(
+        delta_subcomplex(fine, kappa_f), delta_subcomplex(coarse, kappa_c), images
+    )
 
 
 def unindexed_delta(cs: CoverSequence, kappa: int | None = None) -> SimplicialComplex:

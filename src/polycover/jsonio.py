@@ -24,7 +24,6 @@ from .complexes import (
 from .covers import (
     DELTA,
     CoverSequence,
-    IndexedNerve,
     cover_sequence,
     delta_subcomplex,
     nerve,
@@ -64,6 +63,7 @@ def _expect_list(value, path: str) -> list:
 
 def _expect_str(value, path: str) -> str:
     _expect(isinstance(value, str), path, "expected a string")
+    _expect(value != "", path, "expected a nonempty string")
     return value
 
 
@@ -124,8 +124,8 @@ def _to_dot(c: SimplicialComplex, name: str, caption: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def complex_to_dot(c: SimplicialComplex, name: str = "complex") -> str:
-    return _to_dot(c, name, "")
+def complex_to_dot(c: SimplicialComplex) -> str:
+    return _to_dot(c, "complex", "")
 
 
 # -- points and star-sets ----------------------------------------------------
@@ -225,27 +225,26 @@ def _pair(v) -> list:
     return [v[0], v[1]]
 
 
+def _pairs(vertices) -> list:
+    return sorted((_pair(v) for v in vertices), key=lambda p: (p[1], p[0]))
+
+
 def _pair_from_json(value, path: str) -> tuple:
     pair = _expect_list(value, path)
     _expect(len(pair) == 2, path, "expected an [id, level] pair")
     return _expect_str(pair[0], f"{path}[0]"), _expect_int(pair[1], f"{path}[1]")
 
 
-def nerve_to_json(n: IndexedNerve) -> dict:
+def nerve_to_json(c: SimplicialComplex, kind: str) -> dict:
     return {
-        "kind": n.kind,
-        "vertices": sorted(
-            (_pair(v) for v in n.complex.vertices), key=lambda p: (p[1], p[0])
-        ),
-        "simplices": [
-            sorted((_pair(v) for v in s), key=lambda p: (p[1], p[0]))
-            for s in n.complex.sorted_simplices()
-        ],
+        "kind": kind,
+        "vertices": _pairs(c.vertices),
+        "simplices": [_pairs(s) for s in c.sorted_simplices()],
     }
 
 
-def nerve_to_dot(n: IndexedNerve, name: str = "nerve") -> str:
-    return _to_dot(n.complex, name, n.kind + " | ")
+def nerve_to_dot(c: SimplicialComplex, kind: str) -> str:
+    return _to_dot(c, kind, kind + " | ")
 
 
 def unindexed_to_json(c: SimplicialComplex) -> dict:
@@ -262,7 +261,7 @@ def unindexed_to_json(c: SimplicialComplex) -> dict:
 def canonical_map_to_json(f: CanonicalMap) -> dict:
     return {
         "subdivision_level": f.subdivision_level,
-        "target_kind": f.target.kind,
+        "target_kind": f.kind,
         "vertex_images": {
             vlabel(v): _pair(image)
             for v, image in sorted(
@@ -295,7 +294,7 @@ def canonical_map_from_json(
             raise SchemaError(here, str(err)) from None
         images[v] = image
     target = delta_subcomplex(cs, kappa) if kind == DELTA else nerve(cs, kappa)
-    return CanonicalMap(level, SimplicialMap(stage, target.complex, images), target)
+    return CanonicalMap(level, SimplicialMap(stage, target, images), kind)
 
 
 def delta_map_to_json(f: SimplicialMap) -> dict:
@@ -320,8 +319,7 @@ def delta_map_from_json(
         name = _expect_str(row.get("image"), f"{here}.image")
         _expect(name in target.by_label, f"{here}.image", "names no target vertex")
         images[vertex] = target.by_label[name]
-    source = delta_subcomplex(cs, cs.num_levels).complex
-    return SimplicialMap(source, target, images)
+    return SimplicialMap(delta_subcomplex(cs, cs.num_levels), target, images)
 
 
 # -- carrier tables ----------------------------------------------------------

@@ -1,11 +1,12 @@
 """Canonical maps into nerves, selection predicates, refinement transfer,
 cone extension, and carrier-indexed mapping tables.
 
-A canonical map is stored as a simplicial map from a subdivision stage
-into a nerve complex: preimages of open vertex stars are then star-sets
-on the nose, and the defining containment condition is decidable with no
-tolerance.  The two predicates `is_canonical` and `is_selection` are
-provably equivalent for arbitrary vertex maps.  Both are decided by
+A canonical map is its stage level, a simplicial map from that
+subdivision stage into a nerve complex (its target), and that complex's
+kind.  Preimages of open vertex stars are then star-sets on the nose,
+and the defining containment condition is decidable with no tolerance.
+The two predicates `is_canonical` and `is_selection` are provably
+equivalent for arbitrary total vertex maps.  Both are decided by
 vertices, from `CoverSequence.holders`: a vertex is sound iff its image
 holds it, and a canonical image is a first holder.  Oracles in `tests/`
 sweep simplices instead.  The skeletal predicates walk carriers.
@@ -25,6 +26,7 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     check_complete,
+    check_simplicial_map,
     compose_maps,
     cone,
     coned,
@@ -32,8 +34,8 @@ from .complexes import (
 )
 from .covers import (
     DELTA,
+    FULL_NERVE,
     CoverSequence,
-    IndexedNerve,
     _check_kappa,
     _one_per_level,
     cover_sequence,
@@ -62,11 +64,12 @@ DEFAULT_MAX_LEVEL = 8
 
 @dataclass(frozen=True)
 class CanonicalMap:
-    """A simplicial map from a subdivision stage into a nerve complex."""
+    """A simplicial map from a subdivision stage into the nerve complex of
+    kind `DELTA` or `FULL_NERVE`, which is `map.target`."""
 
     subdivision_level: int
     map: SimplicialMap
-    target: IndexedNerve
+    kind: str
 
 
 def _stage_of_map(f: CanonicalMap, cs: CoverSequence) -> SimplicialComplex:
@@ -195,7 +198,7 @@ def build_canonical(
         _check_disjoint_levels(cs, kappa)
         target = delta_subcomplex(cs, kappa)
     else:
-        target = nerve(cs, kappa)
+        target_kind, target = FULL_NERVE, nerve(cs, kappa)
 
     if max_level < cs.working_level:
         raise LevelBudgetExceeded(
@@ -205,15 +208,13 @@ def build_canonical(
     holders = cs.holders(kappa, cs.working_level)
     images = {v: held[0] for v, held in holders.items()}
     return CanonicalMap(
-        cs.working_level, SimplicialMap(stage, target.complex, images), target
+        cs.working_level, SimplicialMap(stage, target, images), target_kind
     )
 
 
 def transfer_selection(h: CanonicalMap, r: SimplicialMap) -> CanonicalMap:
     """Compose a canonical map with a refinement map into the coarser nerve."""
-    return CanonicalMap(
-        h.subdivision_level, compose_maps(r, h.map), IndexedNerve(r.target, h.target.kind)
-    )
+    return CanonicalMap(h.subdivision_level, compose_maps(r, h.map), h.kind)
 
 
 def extract_c_refinement(
@@ -222,15 +223,19 @@ def extract_c_refinement(
     """Star-set preimage families of a canonical map into the one-per-level
     nerve: per level, the fibers over its elements (empty fibers dropped).
 
-    Same-level fibers are pairwise disjoint because two same-level vertices
-    never share an image simplex in the one-per-level complex; each fiber's
-    star sits inside its element by the canonical condition.
+    The map must be canonical, total (else IncompleteMap) and simplicial
+    into the one-per-level complex.  Then same-level fibers are disjoint,
+    since two same-level vertices never share an image simplex there, and
+    each fiber's star sits inside its element by the canonical condition.
     """
     kappa = _check_kappa(cs, kappa)
-    if f.target.kind != DELTA:
+    if f.kind != DELTA:
         raise NotCanonical("extraction needs a map into the one-per-level nerve")
     if not is_canonical(f, cs, kappa):
         raise NotCanonical("the map fails the canonical-map predicate")
+    delta = delta_subcomplex(cs, kappa)
+    if not check_simplicial_map(SimplicialMap(f.map.source, delta, f.map.vertex_images)):
+        raise NotCanonical("the map is not simplicial into the one-per-level nerve")
     fibers: dict = {}
     for v, image in f.map.vertex_images.items():
         fibers.setdefault(image, set()).add(v)
@@ -372,7 +377,7 @@ def bootstrap_skeletal_selection(phi: CarrierMappingSequence):
     simplicial map on its one-per-level complex."""
     family, vertex_map = vertex_selection(phi)
     cs = cover_sequence(phi.space, [family])
-    source = delta_subcomplex(cs, 1).complex
+    source = delta_subcomplex(cs, 1)
     images = {(eid, 0): vertex_map[eid] for eid in vertex_map}
     return cs, SimplicialMap(source, phi.target, images)
 
@@ -386,7 +391,7 @@ def is_skeletal_selection(
     n = cs.num_levels - 1
     if len(phi.tables) < n + 1:
         raise ArityError(f"need {n + 1} tables for {n + 1} cover levels")
-    if f.source != delta_subcomplex(cs, n + 1).complex:
+    if f.source != delta_subcomplex(cs, n + 1):
         raise ArityError("map is not defined on the prefix complex")
     if cs.space != phi.space or cs.working_level != phi.level:
         raise ArityError("cover and tables disagree on the working stage")
@@ -402,7 +407,7 @@ def is_setvalued_selection(
     selection for the level-n tables."""
     if n >= len(phi.tables) or n >= cs.num_levels:
         raise ArityError("n exceeds the tables or the cover levels")
-    check_complete(f, delta_subcomplex(cs, n + 1).complex.vertices)
+    check_complete(f, delta_subcomplex(cs, n + 1).vertices)
     return _maps_into_tables(f, cs, phi, n, skeletal=False)
 
 
@@ -454,7 +459,7 @@ def extend_skeletal_selection(
     # The witness sits in every level-0 value, so none is empty.
     new_family, _ = vertex_selection(phi)
     extended = cover_sequence(cs.space, list(cs.levels) + [new_family])
-    source = delta_subcomplex(extended, n + 2).complex
+    source = delta_subcomplex(extended, n + 2)
     images = dict(f.vertex_images)
     for eid, _ in new_family:
         images[(eid, n + 1)] = q

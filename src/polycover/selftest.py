@@ -15,6 +15,7 @@ from .complexes import (
     vlabel,
 )
 from .covers import (
+    FULL_NERVE,
     cover_sequence,
     delta_at_carrier,
     delta_subcomplex,
@@ -155,7 +156,7 @@ def check_disjoint_delta_equals_nerve() -> None:
     ]
     cs = cover_sequence(e, fams)
     _check(
-        delta_subcomplex(cs, 2).complex == nerve(cs, 2).complex,
+        delta_subcomplex(cs, 2) == nerve(cs, 2),
         "disjoint levels collapse the two complexes",
     )
 
@@ -163,8 +164,8 @@ def check_disjoint_delta_equals_nerve() -> None:
 def check_prefix_monotone() -> None:
     cs = rem_cover()
     for kappa in (1, 2):
-        d_small = delta_subcomplex(cs, kappa).complex
-        d_big = delta_subcomplex(cs, kappa + 1).complex
+        d_small = delta_subcomplex(cs, kappa)
+        d_big = delta_subcomplex(cs, kappa + 1)
         _check(d_small.subcomplex_of(d_big), "indexed prefixes are monotone")
     for tau in cs.working_complex().simplices:
         for n in (0, 1):
@@ -199,7 +200,7 @@ def check_canonical_equals_selection() -> None:
             v: elements[(seed + i * (seed + 3)) % len(elements)]
             for i, v in enumerate(verts)
         }
-        f = CanonicalMap(1, SimplicialMap(stage, target.complex, images), target)
+        f = CanonicalMap(1, SimplicialMap(stage, target, images), FULL_NERVE)
         _check(
             is_canonical(f, cs, 2) == is_selection(f, cs, 2),
             "the two predicates agree",

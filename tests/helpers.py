@@ -348,8 +348,8 @@ def reference_refinement_map(fine, coarse, kappa=None) -> SimplicialMap:
                     f"element {eid!r} at level {n} fits inside no coarse element"
                 )
             images[(eid, n)] = (chosen, n)
-    source = delta_subcomplex(fine, kappa_f).complex
-    target = delta_subcomplex(coarse, kappa_c).complex
+    source = delta_subcomplex(fine, kappa_f)
+    target = delta_subcomplex(coarse, kappa_c)
     return SimplicialMap(source, target, images)
 
 
@@ -595,7 +595,7 @@ def reference_is_skeletal_selection(f, cs, phi) -> bool:
 def reference_is_setvalued_selection(f, cs, phi, n: int) -> bool:
     """Every simplex of the level-<=n prefix complex maps into table n over
     every carrier of its kernel."""
-    for sigma in delta_subcomplex(cs, n + 1).complex.simplices:
+    for sigma in delta_subcomplex(cs, n + 1).simplices:
         image = f.image(sigma)
         for tau in reference_kernel_carriers(cs, sigma):
             if image not in phi.tables[n][tau].simplices:

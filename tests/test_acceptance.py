@@ -72,7 +72,7 @@ def test_criterion_1_disjoint_levels_nerve_equality():
             if space_fn is tri_space and level == 2:
                 level = rng.randint(0, 1)
             cs = random_disjoint_cover(space, rng, level, rng.randint(1, 3))
-            assert delta_subcomplex(cs).complex == nerve(cs).complex
+            assert delta_subcomplex(cs) == nerve(cs)
             trials += 1
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -109,8 +109,8 @@ def test_criterion_2_prefix_cone_monotonicity():
 def test_criterion_3_indexed_vs_unindexed_prefixes():
     cs = rem_cover()
     for kappa in (1, 2):
-        small = delta_subcomplex(cs, kappa).complex
-        big = delta_subcomplex(cs, kappa + 1).complex
+        small = delta_subcomplex(cs, kappa)
+        big = delta_subcomplex(cs, kappa + 1)
         assert small.subcomplex_of(big)
     u2 = unindexed_delta(cs, 2)
     u3 = unindexed_delta(cs, 3)
@@ -164,7 +164,7 @@ def test_criterion_4_canonical_iff_selection():
                 for v in rng.sample(sorted(source.vertices, key=vlabel), 2):
                     images[v] = rng.choice(elements)
             f = CanonicalMap(
-                level, SimplicialMap(source, target.complex, images), target
+                level, SimplicialMap(source, target, images), FULL_NERVE
             )
             check(f, cs, kappa)
     assert agreements >= 500

@@ -153,9 +153,7 @@ class TestSubdivide:
             sets = [set(rng.sample("abcd", rng.randint(1, 3))) for _ in range(2)]
             base = initial_stage(validate_complex(sets))
             stage = subdivide(base)
-            assert set(stage.carrier_of_vertex) == stage.complex.vertices
-            for v, s in stage.carrier_of_vertex.items():
-                assert s in base.complex.simplices
+            assert {v.of for v in stage.complex.vertices} == base.complex.simplices
             assert stage.complex.dim == base.complex.dim
 
     def test_stage_vertices_biject_with_previous_simplices(self):

@@ -114,18 +114,18 @@ class TestNerve:
         single = cover_sequence(
             cs.space, [[("P", dict(cs.levels[2])["P"]), ("Q", dict(cs.levels[2])["Q"])]]
         )
-        built = nerve(single, 1).complex
+        built = nerve(single, 1)
         assert built.vertices == {("P", 0), ("Q", 0)}
         assert fs(("P", 0), ("Q", 0)) in built.simplices
 
     def test_rem_prefix_contains_cross_level_edge(self):
         cs = rem_cover()
-        assert fs(("P", 0), ("Q", 1)) in nerve(cs, 2).complex.simplices
+        assert fs(("P", 0), ("Q", 1)) in nerve(cs, 2).simplices
 
     def test_whole_space_single_vertex(self):
         e = edge_space()
         cs = cover_sequence(e, [[("W", full_star(e, 0))]])
-        assert nerve(cs, 1).complex.simplices == {fs(("W", 0))}
+        assert nerve(cs, 1).simplices == {fs(("W", 0))}
 
     def test_kappa_bounds(self):
         cs = rem_cover()
@@ -138,20 +138,20 @@ class TestNerve:
         rng = random.Random(5)
         for _ in range(10):
             cs = random_cover(tri_space(), rng, rng.randint(0, 1), rng.randint(1, 3))
-            built = nerve(cs).complex
+            built = nerve(cs)
             assert len(built.vertices) == sum(len(f) for f in cs.levels)
 
     def test_nerve_simplices_have_nonempty_kernel(self):
         cs = rem_cover()
-        for s in nerve(cs, 3).complex.simplices:
+        for s in nerve(cs, 3).simplices:
             assert kernel_query(cs, s) is not None
 
 
 class TestDeltaSubcomplex:
     def test_same_level_pair_excluded(self):
         cs = rem_cover()
-        n2 = nerve(cs, 2).complex
-        d2 = delta_subcomplex(cs, 2).complex
+        n2 = nerve(cs, 2)
+        d2 = delta_subcomplex(cs, 2)
         pair = fs(("P", 0), ("Q'", 0))
         assert kernel_query(cs, pair) is not None
         assert pair in n2.simplices
@@ -161,7 +161,7 @@ class TestDeltaSubcomplex:
         rng = random.Random(9)
         for _ in range(10):
             cs = random_cover(edge_space(), rng, rng.randint(0, 2), rng.randint(1, 3))
-            assert delta_subcomplex(cs).complex.subcomplex_of(nerve(cs).complex)
+            assert delta_subcomplex(cs).subcomplex_of(nerve(cs))
 
     def test_disjoint_levels_collapse(self):
         rng = random.Random(13)
@@ -170,11 +170,11 @@ class TestDeltaSubcomplex:
                 cs = random_disjoint_cover(
                     space_fn(), rng, rng.randint(0, 1), rng.randint(1, 3)
                 )
-                assert delta_subcomplex(cs).complex == nerve(cs).complex
+                assert delta_subcomplex(cs) == nerve(cs)
 
     def test_single_level_is_zero_dimensional(self):
         cs = rem_cover()
-        assert delta_subcomplex(cs, 1).complex.dim == 0
+        assert delta_subcomplex(cs, 1).dim == 0
 
 
 class TestDeltaAtCarrier:
@@ -210,7 +210,7 @@ class TestDeltaAtCarrier:
         union = set()
         for tau in cs.working_complex().simplices:
             union |= delta_at_carrier(cs, 3, tau).simplices
-        assert union == delta_subcomplex(cs, 3).complex.simplices
+        assert union == delta_subcomplex(cs, 3).simplices
 
     def test_monotone_in_the_carrier(self):
         rng = random.Random(21)
@@ -259,7 +259,7 @@ class TestUnindexedDelta:
             if len(set(cores)) != len(cores):
                 continue
             unindexed = unindexed_delta(cs)
-            indexed = delta_subcomplex(cs).complex
+            indexed = delta_subcomplex(cs)
             renamed = {
                 frozenset(f"{eid}@{n}" for eid, n in s) for s in indexed.simplices
             }
@@ -307,7 +307,7 @@ class TestRefinementMap:
         )
         r = refinement_map(fine, cs, 2)
         as_nerve = SimplicialMap(
-            nerve(fine, 2).complex, nerve(cs, 2).complex, r.vertex_images
+            nerve(fine, 2), nerve(cs, 2), r.vertex_images
         )
         assert check_simplicial_map(as_nerve)
 

@@ -145,7 +145,7 @@ def test_canonical_target_is_the_refinement_maps_source():
     for level in (0, 1, 2):
         padded = pad_levels(_tri_cover_at(level), 3)
         fine = refinement_as_cover(ostrand_refine(padded, 2))
-        assert build_canonical(fine, 3).target.complex is (
+        assert build_canonical(fine, 3).map.target is (
             refinement_map(fine, padded, 3).source
         )
 

@@ -305,6 +305,27 @@ CASES = {
         None,
     ),
     "cone-extend-incomplete": (["cone-extend", "cone_incomplete.json"], None),
+    # the canonical predicate skips a vertex with no image; extract refuses it
+    "extract-incomplete": (
+        ["crefine", "extract", "--cover", "tri1.cover.json", "--map", "tri1_incomplete.map.json"],
+        None,
+    ),
+    # canonical, but b(a,b) and b(b) span an edge onto two level-0 elements
+    "extract-overlap": (
+        [
+            "crefine",
+            "extract",
+            "--cover",
+            "rem.cover.json",
+            "--kappa",
+            "1",
+            "--map",
+            "rem_overlap.map.json",
+        ],
+        None,
+    ),
+    "complex-empty-label": (["complex", "empty_label.complex.json"], None),
+    "nerve-empty-id": (["nerve", "--cover", "empty_id.cover.json"], None),
     # both source edges leave chain member 1; the least is reported
     "cone-extend-two-edges": (
         ["cone-extend", "cone_two_edges.json"],
@@ -313,8 +334,8 @@ CASES = {
 }
 
 # input document -> schema it conforms to (the skeletal maps have none, and the
-# negative-level map and the empty-simplex tables break their schemas on
-# purpose; invalid.cover.txt is not JSON at all)
+# negative-level map, the empty-simplex tables and the empty label and id
+# break their schemas on purpose; invalid.cover.txt is not JSON at all)
 INPUT_SCHEMAS = {
     "bad.map.json": "canonical_map",
     "boundary.complex.json": "complex",
@@ -327,6 +348,8 @@ INPUT_SCHEMAS = {
     "coarse.map.json": "canonical_map",
     "comma.cover.json": "cover_sequence",
     "duplicate_id.cover.json": "cover_sequence",
+    "empty_id.cover.json": None,
+    "empty_label.complex.json": None,
     "empty_simplex.tables.json": None,
     "fine.cover.json": "cover_sequence",
     "fine.delta.map.json": "canonical_map",
@@ -335,6 +358,7 @@ INPUT_SCHEMAS = {
     "overlap.refinement.json": "refinement",
     "rem.cover.json": "cover_sequence",
     "rem.nerve.map.json": "canonical_map",
+    "rem_overlap.map.json": "canonical_map",
     "skeletal.cover.json": "cover_sequence",
     "skeletal.map.json": None,
     "skeletal_empty.map.json": None,
@@ -348,6 +372,7 @@ INPUT_SCHEMAS = {
     "tri2.cover.json": "cover_sequence",
     "tri3.cover.json": "cover_sequence",
     "tri3.refinement.json": "refinement",
+    "tri1_incomplete.map.json": "canonical_map",
     "uncovered.cover.json": "cover_sequence",
     "uncovered.refinement.json": "refinement",
 }

@@ -17,6 +17,7 @@ from polycover import (
     PolyhedralSpace,
     SimplicialMap,
     StarSet,
+    build_canonical,
     carrier_tables,
     cover_sequence,
     delta_at_carrier,
@@ -33,7 +34,8 @@ from polycover import (
     validate_complex,
     vlabel,
 )
-from polycover.covers import _kernel_carriers
+from polycover import covers
+from polycover.covers import FULL_NERVE, _kernel_carriers
 from polycover.fixtures import (
     boundary_space,
     edge_space,
@@ -108,10 +110,10 @@ def test_maximal_simplices_matches_pairwise_oracle():
 def test_nerves_and_one_per_level_complexes_match_oracles():
     for cs in seeded_covers(7):
         for kappa in range(1, cs.num_levels + 1):
-            assert nerve(cs, kappa).complex.simplices == (
+            assert nerve(cs, kappa).simplices == (
                 reference_nerve_simplices(cs, kappa)
             )
-            assert delta_subcomplex(cs, kappa).complex.simplices == (
+            assert delta_subcomplex(cs, kappa).simplices == (
                 reference_delta_subcomplex(cs, kappa)
             )
             assert unindexed_delta(cs, kappa).simplices == (
@@ -239,6 +241,25 @@ def test_holders_match_oracle():
     assert {1, 2, 3} <= orders
 
 
+def test_working_level_questions_push_nothing(monkeypatch):
+    """A cover's families already sit at its working level: once it is
+    built, its holders, nerves and canonical map there push no star-set."""
+    built = list(seeded_covers(23))
+    pushes = []
+    monkeypatch.setattr(
+        covers, "push_star", lambda s, level: pushes.append(s) or push_star(s, level)
+    )
+    for cs in built:
+        kappa = cs.num_levels
+        assert cs.pushed(kappa, cs.working_level) == cs.levels
+        assert cs.holders(kappa, cs.working_level) == reference_holders(
+            cs, kappa, cs.working_level
+        )
+        nerve(cs), delta_subcomplex(cs)
+        build_canonical(cs, kappa, FULL_NERVE)
+    assert pushes == []
+
+
 def _split_cover(cs, rng):
     """A cover refining cs level by level: each element's core, pushed to
     the working level or one finer, cut in one or two parts.  A part may
@@ -319,7 +340,7 @@ def test_skeletal_predicates_match_kernel_sweeps():
     rng = random.Random(31)
     verdicts = set()
     for cs in itertools.islice(seeded_covers(29), 0, None, 2):
-        source = delta_subcomplex(cs, cs.num_levels).complex
+        source = delta_subcomplex(cs, cs.num_levels)
         vertices = sorted(source.vertices, key=vlabel)
         images = {v: rng.choice(NAMES) for v in vertices}
         f = SimplicialMap(source, SIMPLEX, images)

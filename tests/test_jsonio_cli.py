@@ -22,6 +22,7 @@ from polycover import (
 )
 from polycover import jsonio
 from polycover.cli import main
+from polycover.covers import FULL_NERVE
 from polycover.errors import SchemaError
 from polycover.fixtures import edge_space, rem_cover, tri_space, vertex_star_cover
 from polycover.selections import carrier_tables
@@ -46,7 +47,7 @@ class TestRoundTrips:
         assert [[eid for eid, _ in fam] for fam in again.levels] == [
             [eid for eid, _ in fam] for fam in cs.levels
         ]
-        assert nerve(again, 3).complex == nerve(cs, 3).complex
+        assert nerve(again, 3) == nerve(cs, 3)
 
     def test_point(self):
         e = edge_space()
@@ -96,8 +97,8 @@ class TestRoundTrips:
 
     def test_dumps_is_deterministic(self):
         cs = rem_cover()
-        a = jsonio.dumps(jsonio.nerve_to_json(nerve(cs, 3)))
-        b = jsonio.dumps(jsonio.nerve_to_json(nerve(rem_cover(), 3)))
+        a = jsonio.dumps(jsonio.nerve_to_json(nerve(cs, 3), FULL_NERVE))
+        b = jsonio.dumps(jsonio.nerve_to_json(nerve(rem_cover(), 3), FULL_NERVE))
         assert a == b
         assert '"schema_version": 1' in a
 
@@ -119,6 +120,28 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             jsonio.star_set_from_json(e, {"level": 0, "stars": ["zz"]})
         assert err.value.path.endswith(".stars")
+
+    @pytest.mark.parametrize(
+        "read, doc, path",
+        [
+            (jsonio.complex_from_json, {"maximal_simplices": [["", "a"]]},
+             "$.maximal_simplices[0][0]"),
+            (jsonio.cover_from_json,
+             {"space": {"maximal_simplices": [["a"]]}, "working_level": 0,
+              "levels": [[{"id": "", "stars": ["a"]}]]},
+             "$.levels[0][0].id"),
+            (jsonio.cover_from_json,
+             {"space": {"maximal_simplices": [["a"]]}, "working_level": 0,
+              "levels": [[{"id": "A", "stars": [""]}]]},
+             "$.levels[0][0].stars[0]"),
+            (lambda doc: jsonio.star_set_from_json(edge_space(), doc),
+             {"level": 0, "stars": [""]}, "$.stars[0]"),
+        ],
+    )
+    def test_empty_labels_and_ids_are_refused(self, read, doc, path):
+        with pytest.raises(SchemaError) as err:
+            read(doc)
+        assert (err.value.path, err.value.reason) == (path, "expected a nonempty string")
 
     def test_missing_field_path(self):
         with pytest.raises(SchemaError) as err:

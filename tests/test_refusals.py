@@ -1,0 +1,121 @@
+"""Refusals of malformed library calls: each raises its own error type
+with its own message, checked here word for word."""
+
+import re
+
+import pytest
+
+from polycover import (
+    SimplicialMap,
+    bootstrap_skeletal_selection,
+    carrier_tables,
+    cone_extend,
+    cover_sequence,
+    delta_subcomplex,
+    extend_skeletal_selection,
+    full_star,
+    is_setvalued_selection,
+    is_skeletal_selection,
+    refinement_map,
+    star_relation,
+    star_set,
+    validate_complex,
+)
+from polycover.errors import ArityError, EmptyPrefix, SkeletonViolation
+from polycover.fixtures import edge_space, tri_space, vertex_star_cover
+
+from test_selections import edge_phi
+
+
+def refused(error, message):
+    """Expect exactly this error type with exactly this message."""
+    return pytest.raises(error, match="^" + re.escape(message) + "$")
+
+
+class TestSkeletalPredicates:
+    def test_too_few_tables_for_the_cover_levels(self):
+        _, phi = edge_phi()
+        cs, f = bootstrap_skeletal_selection(phi)
+        cs, f = extend_skeletal_selection(f, cs, phi)
+        _, short = edge_phi(levels=1)
+        with refused(ArityError, "need 2 tables for 2 cover levels"):
+            is_skeletal_selection(f, cs, short)
+
+    def test_map_off_the_prefix_complex(self):
+        _, phi = edge_phi()
+        cs, f = bootstrap_skeletal_selection(phi)
+        longer, _ = extend_skeletal_selection(f, cs, phi)
+        with refused(ArityError, "map is not defined on the prefix complex"):
+            is_skeletal_selection(f, longer, phi)
+
+    def test_cover_and_tables_on_different_stages(self):
+        e, phi = edge_phi()
+        cs = cover_sequence(e, [[("W", full_star(e, 1))]])
+        f = SimplicialMap(delta_subcomplex(cs, 1), phi.target, {("W", 0): "z"})
+        with refused(ArityError, "cover and tables disagree on the working stage"):
+            is_skeletal_selection(f, cs, phi)
+
+    def test_setvalued_level_beyond_the_cover(self):
+        _, phi = edge_phi()
+        cs, f = bootstrap_skeletal_selection(phi)
+        with refused(ArityError, "n exceeds the tables or the cover levels"):
+            is_setvalued_selection(f, cs, phi, 1)
+
+    def test_extension_of_a_map_that_is_not_skeletal(self):
+        _, phi = edge_phi()
+        cs, f = bootstrap_skeletal_selection(phi)
+        bad = SimplicialMap(f.source, f.target, {**f.vertex_images, ("a", 0): "t:b"})
+        with refused(ValueError, "the input map is not a skeletal selection"):
+            extend_skeletal_selection(bad, cs, phi)
+
+    def test_table_value_outside_the_target(self):
+        e = edge_space()
+        target = validate_complex([{"y1", "y2"}])
+        table = {tau: validate_complex([{"y9"}]) for tau in e.stage_complex(0).simplices}
+        with refused(ValueError, "table 0 value is not a subcomplex of the target"):
+            carrier_tables(e, 0, target, [table])
+
+
+class TestCovers:
+    def test_no_levels(self):
+        with refused(EmptyPrefix, "a cover sequence needs at least one level"):
+            cover_sequence(edge_space(), [])
+
+    def test_star_set_of_another_space(self):
+        with refused(ValueError, "star-set belongs to a different space"):
+            cover_sequence(edge_space(), [[("W", full_star(tri_space(), 0))]])
+
+    def test_id_that_is_not_a_string(self):
+        e = edge_space()
+        with refused(ValueError, "element ids must be strings"):
+            cover_sequence(e, [[(7, full_star(e, 0))]])
+
+    def test_refinement_map_across_spaces(self):
+        fine, coarse = vertex_star_cover(edge_space()), vertex_star_cover(tri_space())
+        with refused(ValueError, "cover sequences live on different spaces"):
+            refinement_map(fine, coarse)
+
+    def test_refinement_map_between_prefixes_of_different_lengths(self):
+        e = edge_space()
+        with refused(ValueError, "prefix lengths differ"):
+            refinement_map(vertex_star_cover(e, 2), vertex_star_cover(e, 3))
+
+
+class TestStarSetsAndCones:
+    def test_star_set_key_that_is_no_stage_vertex(self):
+        with refused(ValueError, "7 is not a vertex of stage 0"):
+            star_set(edge_space(), 0, [7])
+
+    def test_star_set_with_no_core(self):
+        with refused(ValueError, "a star-set needs at least one core vertex"):
+            star_set(edge_space(), 0, [])
+
+    def test_star_relation_across_spaces(self):
+        with refused(ValueError, "star-sets live on different spaces"):
+            star_relation(full_star(edge_space(), 0), full_star(tri_space(), 0))
+
+    def test_cone_extension_with_a_short_chain(self):
+        t = validate_complex([{"y", "q"}])
+        g = SimplicialMap(validate_complex([{"a"}]), t, {"a": "y"})
+        with refused(SkeletonViolation, "the chain needs at least two members"):
+            cone_extend(g, "v", "q", [t])

@@ -78,7 +78,7 @@ def rem_example_map():
         space.vertex_named(1, "b(b)"): ("Q", 1),
     }
     target = delta_subcomplex(cs, 2)
-    return cs, CanonicalMap(1, SimplicialMap(stage, target.complex, images), target)
+    return cs, CanonicalMap(1, SimplicialMap(stage, target, images), DELTA)
 
 
 class TestCanonicalAndSelection:
@@ -93,7 +93,7 @@ class TestCanonicalAndSelection:
         stage = cs.space.stage_complex(1)
         target = delta_subcomplex(cs, 2)
         images = {v: ("P'", 1) for v in stage.vertices}
-        f = CanonicalMap(1, SimplicialMap(stage, target.complex, images), target)
+        f = CanonicalMap(1, SimplicialMap(stage, target, images), DELTA)
         assert not is_canonical(f, cs, 2)
         assert not is_selection(f, cs, 2)
         witness = why_not_canonical(f, cs, 2)
@@ -105,7 +105,7 @@ class TestCanonicalAndSelection:
         stage = e.stage_complex(0)
         target = nerve(cs, 1)
         images = {v: ("W", 0) for v in stage.vertices}
-        f = CanonicalMap(0, SimplicialMap(stage, target.complex, images), target)
+        f = CanonicalMap(0, SimplicialMap(stage, target, images), FULL_NERVE)
         assert is_canonical(f, cs, 1)
         assert is_selection(f, cs, 1)
 
@@ -118,7 +118,7 @@ class TestCanonicalAndSelection:
         target = nerve(cs, 3)
         for _ in range(100):
             images = {v: rng.choice(elements) for v in verts}
-            f = CanonicalMap(1, SimplicialMap(stage, target.complex, images), target)
+            f = CanonicalMap(1, SimplicialMap(stage, target, images), FULL_NERVE)
             assert is_canonical(f, cs, 3) == is_selection(f, cs, 3)
 
 
@@ -249,7 +249,7 @@ class TestExtract:
         stage = cs.space.stage_complex(1)
         target = delta_subcomplex(cs, 2)
         images = {v: ("P'", 1) for v in stage.vertices}
-        f = CanonicalMap(1, SimplicialMap(stage, target.complex, images), target)
+        f = CanonicalMap(1, SimplicialMap(stage, target, images), DELTA)
         with pytest.raises(NotCanonical):
             extract_c_refinement(f, cs, 2)
 
@@ -488,7 +488,7 @@ class TestSkeletalSelections:
         table = {tau: target for tau in e.stage_complex(0).simplices}
         phi = carrier_tables(e, 0, target, [table])
         f = SimplicialMap(
-            delta_subcomplex(cs, 1).complex, target, {("W", 0): "y"}
+            delta_subcomplex(cs, 1), target, {("W", 0): "y"}
         )
         assert is_skeletal_selection(f, cs, phi)
 
@@ -591,7 +591,7 @@ class TestAgainstSortedScans:
             f = CanonicalMap(
                 h.subdivision_level,
                 SimplicialMap(h.map.source, h.map.target, images),
-                h.target,
+                h.kind,
             )
             kappa = rng.choice([None, rng.randint(1, cs.num_levels)])
             got = _outcome(why_not_selection, f, cs, kappa)
@@ -624,7 +624,7 @@ class TestAgainstSortedScans:
                     del images[v]
                 else:
                     images[v] = rng.choice(elements)
-            f = CanonicalMap(level, SimplicialMap(stage, h.map.target, images), h.target)
+            f = CanonicalMap(level, SimplicialMap(stage, h.map.target, images), h.kind)
             kappa = rng.choice([None, rng.randint(1, cs.num_levels)])
             for mine, oracle in (
                 (why_not_canonical, reference_why_not_canonical),
