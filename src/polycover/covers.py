@@ -16,9 +16,11 @@ some working-stage simplex, the union of its vertices' holders.  A face's
 hit set lies inside that of any facet holding it, so nerves and
 one-per-level complexes, plain complexes, are built from the facets' hit
 sets alone, once per cover, kind and prefix (`CoverSequence.nerves`).
-Only the kernel readers need every simplex's, `CoverSequence.hit_sets`.
-These caches, and the families pushed to finer levels, live and die with
-their cover.  Coverage is decided in one place, `uncovered_vertex`.
+Containment reads the same index: at one level, the elements containing
+a star-set are those holding every vertex of its core
+(`CoverSequence.containing`).  These caches, and the families pushed to
+finer levels, live and die with their cover.  Coverage is decided in one
+place, `uncovered_vertex`.
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ class CoverSequence:
         return self.space.stage_complex(self.working_level)
 
     @cached_property
-    def hit_sets(self) -> dict:
-        """Each working-stage simplex tau -> the (id, n) of every element whose
-        core meets tau: the kernel of a vertex set contains the interior of
-        tau iff the set lies in tau's hit set.  Equal hit sets are one object."""
-        holders = self.holders(self.num_levels, self.working_level)
-        return _hits(self.working_complex().simplices, holders)
-
-    @cached_property
     def nerves(self) -> dict:
         """(kind, kappa) -> the complex of that kind over the first kappa
         levels, filled by `nerve` and `delta_subcomplex` on first use."""
@@ -129,6 +123,13 @@ class CoverSequence:
                         held.setdefault(v, []).append(element)
             self._holders[key] = {v: tuple(h) for v, h in held.items()}
         return self._holders[key]
+
+    def containing(self, kappa: int, level: int, core) -> frozenset:
+        """The (id, n) of every element of the first kappa levels whose core,
+        pushed to `level`, holds every vertex of the nonempty stage-`level`
+        `core`: the elements containing the star-set with that core."""
+        held = [self.holders(kappa, level).get(v, ()) for v in core]
+        return frozenset(held[0]).intersection(*held[1:])
 
 
 def cover_sequence(space: PolyhedralSpace, levels) -> CoverSequence:
@@ -194,25 +195,24 @@ def _check_kappa(cs: CoverSequence, kappa: int | None) -> int:
     return kappa
 
 
-def _kernel_carriers(cs: CoverSequence, sigma) -> list:
-    """The working-stage simplices meeting the core of every element of
-    sigma: the carriers of the points in the kernel of sigma."""
+def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
+    """The least working-stage simplex meeting every sigma element, or None.
+
+    The returned simplex witnesses a nonempty kernel: every point in its
+    relative interior lies in all the named star-sets.  The kernel's
+    carriers are the simplices whose hit set holds sigma.
+    """
     for eid, n in sigma:
         if not (0 <= n < cs.num_levels):
             raise UnknownCoverElement(f"no level {n} in this sequence")
         if eid not in dict(cs.levels[n]):
             raise UnknownCoverElement(f"no element {eid!r} at level {n}")
     sigma = frozenset(sigma)
-    return [tau for tau, hit in cs.hit_sets.items() if sigma <= hit]
-
-
-def kernel_query(cs: CoverSequence, sigma) -> Simplex | None:
-    """The least working-stage simplex meeting every sigma element, or None.
-
-    The returned simplex witnesses a nonempty kernel: every point in its
-    relative interior lies in all the named star-sets.
-    """
-    return min(_kernel_carriers(cs, sigma), key=simplex_key, default=None)
+    holders = cs.holders(cs.num_levels, cs.working_level)
+    hits = _hits(cs.working_complex().simplices, holders)
+    return min(
+        (tau for tau, hit in hits.items() if sigma <= hit), key=simplex_key, default=None
+    )
 
 
 def _hits(simplices, holders: dict) -> dict:
@@ -283,9 +283,10 @@ def delta_at_carrier(
     tau; it may be empty when the prefix misses tau entirely.
     """
     kappa = _check_kappa(cs, kappa)
-    hit = cs.hit_sets.get(frozenset(tau))
-    if hit is None:
+    tau = frozenset(tau)
+    if tau not in cs.working_complex().simplices:
         raise UnknownCarrier("tau is not a simplex of the working stage")
+    hit = _hits([tau], cs.holders(kappa, cs.working_level))[tau]
     return SimplicialComplex(_one_per_level(hit, kappa))
 
 
@@ -304,15 +305,12 @@ def refinement_map(
     kappa_c = _check_kappa(coarse, kappa)
     if kappa_f != kappa_c:
         raise ValueError("prefix lengths differ")
-    # At one level containment is core containment: the coarse elements
-    # holding a fine core are those holding every one of its vertices.
     level = max(fine.working_level, coarse.working_level)
-    holders = coarse.holders(kappa_c, level)
     images = {}
     for n, row in enumerate(fine.pushed(kappa_f, level)):
         for eid, star in row:
-            held = [holders.get(v, ()) for v in star.core_vertices]
-            fits = [c for c in set(held[0]).intersection(*held) if c[1] == n]
+            held = coarse.containing(kappa_c, level, star.core_vertices)
+            fits = [c for c in held if c[1] == n]
             if not fits:
                 raise NotARefinement(
                     f"element {eid!r} at level {n} fits inside no coarse element"

@@ -187,8 +187,9 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     Domains are forward-checked (Haralick & Elliott 1980) and never
     re-derived.  At every node, for each unassigned vertex i and family
     fam, `dom[fam][i]` is the mask of level-fam source elements that could
-    still hold the component i would join in fam: those whose core holds
-    i's pushed star, ANDed with the possible elements of every fam
+    still hold the component i would join in fam: those containing i's
+    star (`CoverSequence.containing`, read off the padded cover's holders
+    at the common level), ANDed with the possible elements of every fam
     component adjacent to i.  `live[fam] & unassigned` is the set of
     unassigned vertices whose `dom[fam]` is nonzero (bits of assigned
     vertices are left in `live`; they are masked off, not cleared).
@@ -211,24 +212,20 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     # Two stage vertices share a simplex iff they share an edge.
     adj = [sum(1 << index[w] for w in stage.neighbours[v]) for v in verts]
 
-    rows = pad_levels(cs, kappa).pushed(kappa, common)
+    padded = pad_levels(cs, kappa)
+    rows = padded.pushed(kappa, common)
     cores = [[star.core_vertices for _, star in row] for row in rows]
+    position = {
+        (eid, n): j for n, row in enumerate(rows) for j, (eid, _) in enumerate(row)
+    }
 
-    pushed = [
-        push_star(StarSet(space, level, frozenset([v])), common).core_vertices
-        for v in verts
-    ]
     dom = [[0] * nv for _ in range(kappa)]
     live = [0] * kappa
-    for fam in range(kappa):
-        for i in range(nv):
-            mask = 0
-            for j, core in enumerate(cores[fam]):
-                if pushed[i] <= core:
-                    mask |= 1 << j
-            dom[fam][i] = mask
-            if mask:
-                live[fam] |= 1 << i
+    for i, v in enumerate(verts):
+        star = push_star(StarSet(space, level, frozenset([v])), common)
+        for eid, fam in padded.containing(kappa, common, star.core_vertices):
+            dom[fam][i] |= 1 << position[eid, fam]
+            live[fam] |= 1 << i
 
     # Families whose element point sets agree are interchangeable; breaking
     # that symmetry (a class member may only be opened after every earlier

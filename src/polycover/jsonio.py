@@ -143,11 +143,13 @@ def point_from_json(space: PolyhedralSpace, data, path: str = "$") -> Barycentri
     coords = _expect_obj(obj.get("coords"), f"{path}.coords")
     parsed = {}
     for key, value in coords.items():
-        value = _expect_str(value, f"{path}.coords[{key!r}]")
+        here = f"{path}.coords[{key!r}]"
+        value = _expect_str(value, here)
         _expect(
-            bool(_RATIONAL.match(value)),
-            f"{path}.coords[{key!r}]",
-            "rationals are decimal-free strings like '1/3'",
+            bool(_RATIONAL.match(value)), here, "rationals are decimal-free strings like '1/3'"
+        )
+        _expect(
+            int(value.partition("/")[2] or 1) != 0, here, "a denominator must be nonzero"
         )
         parsed[key] = Fraction(value)
     try:
@@ -311,11 +313,13 @@ def delta_map_from_json(
 ) -> SimplicialMap:
     obj = _expect_obj(data, path)
     rows = _expect_list(obj.get("vertex_images"), f"{path}.vertex_images")
+    elements = {(eid, n) for eid, n, _ in cs.elements()}
     images = {}
     for i, row in enumerate(rows):
         here = f"{path}.vertex_images[{i}]"
         row = _expect_obj(row, here)
         vertex = _pair_from_json(row.get("vertex"), f"{here}.vertex")
+        _expect(vertex in elements, f"{here}.vertex", "names no cover element")
         name = _expect_str(row.get("image"), f"{here}.image")
         _expect(name in target.by_label, f"{here}.image", "names no target vertex")
         images[vertex] = target.by_label[name]
@@ -474,6 +478,7 @@ def cone_input_from_json(data, path: str = "$") -> dict:
     images = {}
     for name, image in images_raw.items():
         here = f"{path}.vertex_images[{name!r}]"
+        _expect(name in source.vertices, here, "names no source vertex")
         images[name] = _expect_str(image, here)
     new_vertex = _expect_str(obj.get("new_vertex"), f"{path}.new_vertex")
     witness = _expect_str(obj.get("witness_vertex"), f"{path}.witness_vertex")

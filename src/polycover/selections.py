@@ -37,6 +37,7 @@ from .covers import (
     FULL_NERVE,
     CoverSequence,
     _check_kappa,
+    _hits,
     _one_per_level,
     cover_sequence,
     delta_subcomplex,
@@ -213,8 +214,9 @@ def build_canonical(
 
 
 def transfer_selection(h: CanonicalMap, r: SimplicialMap) -> CanonicalMap:
-    """Compose a canonical map with a refinement map into the coarser nerve."""
-    return CanonicalMap(h.subdivision_level, compose_maps(r, h.map), h.kind)
+    """Compose a canonical map with a refinement map.  The refinement map's
+    target, and so the result's, is the coarse one-per-level complex."""
+    return CanonicalMap(h.subdivision_level, compose_maps(r, h.map), DELTA)
 
 
 def extract_c_refinement(
@@ -420,8 +422,9 @@ def _maps_into_tables(
     every working carrier tau whose kernel holds sigma: the one-per-level
     subsets of tau's hit set (`delta_at_carrier`).  Carriers with one hit
     set are walked together, so each sigma's image is taken once per set."""
+    holders = cs.holders(n + 1, cs.working_level)
     carriers: dict = {}
-    for tau, hit in cs.hit_sets.items():
+    for tau, hit in _hits(cs.working_complex().simplices, holders).items():
         carriers.setdefault(hit, []).append(tau)
     for hit, taus in carriers.items():
         for sigma in _one_per_level(hit, n + 1):

@@ -469,6 +469,71 @@ def two_triangles_space() -> PolyhedralSpace:
     return PolyhedralSpace(validate_complex([{"a", "b", "c"}, {"x", "y", "z"}]))
 
 
+def _cyclic_space(names: str, steps) -> PolyhedralSpace:
+    """The triangles {v_i, v_(i+p), v_(i+q)} for each (p, q) in steps and
+    each i, indices mod len(names)."""
+    n = len(names)
+    return PolyhedralSpace(validate_complex([
+        {names[i], names[(i + p) % n], names[(i + q) % n]}
+        for i in range(n) for p, q in steps
+    ]))
+
+
+def sphere_space() -> PolyhedralSpace:
+    """The boundary of the tetrahedron: the 2-sphere."""
+    return PolyhedralSpace(validate_complex(itertools.combinations("abcd", 3)))
+
+
+def torus_space() -> PolyhedralSpace:
+    """The 7-vertex torus of Möbius and Császár: 7 vertices, 21 edges,
+    14 triangles, each pair of vertices joined by an edge."""
+    return _cyclic_space("abcdefg", [(1, 3), (2, 3)])
+
+
+def projective_plane_space() -> PolyhedralSpace:
+    """The 6-vertex real projective plane: the hemi-icosahedron, 10 triangles,
+    each pair of vertices joined by an edge."""
+    return PolyhedralSpace(validate_complex([
+        set(t) for t in ("abc", "acd", "ade", "aef", "afb",
+                         "bce", "cdf", "deb", "efc", "fbd")
+    ]))
+
+
+def moebius_space() -> PolyhedralSpace:
+    """The 5-vertex Möbius band: the triangles of three cyclically
+    consecutive vertices."""
+    return _cyclic_space("abcde", [(1, 2)])
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of rows given as int bitmasks, by elimination on
+    each row's top bit."""
+    pivots: dict = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def betti_numbers(c: SimplicialComplex) -> tuple:
+    """Betti numbers of c over GF(2) in dimensions 0 to dim c: the k-chains
+    less the ranks of the boundary maps into and out of them."""
+    by_dim = [[] for _ in range(c.dim + 1)]
+    for s in c.simplices:
+        by_dim[len(s) - 1].append(s)
+    index = [{s: i for i, s in enumerate(faces)} for faces in by_dim]
+    ranks = [0] * (c.dim + 2)
+    for k in range(1, c.dim + 1):
+        ranks[k] = gf2_rank(
+            sum(1 << index[k - 1][s - {v}] for v in s) for s in by_dim[k]
+        )
+    return tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(c.dim + 1))
+
+
 # -- all-simplices map check --------------------------------------------------
 
 

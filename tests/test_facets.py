@@ -29,7 +29,7 @@ from polycover import (
     validate_complex,
     vlabel,
 )
-from polycover import covers
+from polycover import covers, selections
 from polycover.errors import IncompleteMap
 from polycover.fixtures import (
     boundary_space,
@@ -152,21 +152,30 @@ def test_canonical_target_is_the_refinement_maps_source():
 
 def test_mu_driver_builds_each_complex_once_and_no_hit_index(monkeypatch):
     built = []
+    hit_simplices = []
     facet_hit_sets = covers._facet_hit_sets
+    hits = covers._hits
 
     def counted(cs, kappa):
         built.append((cs, kappa))
         return facet_hit_sets(cs, kappa)
 
-    def refused(cs):
-        raise AssertionError("a whole-stage hit index was built")
+    def recorded(simplices, holders):
+        out = hits(simplices, holders)
+        hit_simplices.append(set(out))
+        return out
 
     monkeypatch.setattr(covers, "_facet_hit_sets", counted)
-    monkeypatch.setattr(CoverSequence, "hit_sets", property(refused))
+    monkeypatch.setattr(covers, "_hits", recorded)
+    monkeypatch.setattr(selections, "_hits", recorded)
     for level in (0, 1, 2):
         built.clear()
+        hit_simplices.clear()
         cs = _tri_cover_at(level)
         assert mu_driver(cs, n_plus_one(2)).success
+        # Hit sets are computed for the working facets of the two covers only.
+        facets = [c.working_complex().facets for c, _ in built]
+        assert hit_simplices == facets
         keys = {(id(c), kappa) for c, kappa in built}
         # One one-per-level complex for the padded cover, one for the fine.
         assert len(keys) == len(built) == 2

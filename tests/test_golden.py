@@ -331,6 +331,23 @@ CASES = {
         ["cone-extend", "cone_two_edges.json"],
         "predicate_result",
     ),
+    # an image for "zz", which is no vertex of the source
+    "cone-extend-unknown-key": (["cone-extend", "cone_unknown_key.json"], None),
+    # a row for ["zz", 7], which names no element of the cover
+    "selection-skeletal-unknown-vertex": (
+        [
+            "selection",
+            "--cover",
+            "skeletal.cover.json",
+            "--map",
+            "skeletal_unknown.map.json",
+            "--predicate",
+            "skeletal",
+            "--tables",
+            "skeletal.tables.json",
+        ],
+        None,
+    ),
 }
 
 # input document -> schema it conforms to (the skeletal maps have none, and the
@@ -344,6 +361,7 @@ INPUT_SCHEMAS = {
     "cone_bad_witness.json": "cone_extend_input",
     "cone_incomplete.json": "cone_extend_input",
     "cone_two_edges.json": "cone_extend_input",
+    "cone_unknown_key.json": "cone_extend_input",
     "cone_witness_failure.json": "cone_extend_input",
     "coarse.map.json": "canonical_map",
     "comma.cover.json": "cover_sequence",
@@ -362,6 +380,7 @@ INPUT_SCHEMAS = {
     "skeletal.cover.json": "cover_sequence",
     "skeletal.map.json": None,
     "skeletal_empty.map.json": None,
+    "skeletal_unknown.map.json": None,
     "skeletal.tables.json": "carrier_tables",
     "split.cover.json": "cover_sequence",
     "tet1.cover.json": "cover_sequence",

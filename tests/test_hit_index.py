@@ -35,7 +35,7 @@ from polycover import (
     vlabel,
 )
 from polycover import covers
-from polycover.covers import FULL_NERVE, _kernel_carriers
+from polycover.covers import FULL_NERVE, _hits
 from polycover.fixtures import (
     boundary_space,
     edge_space,
@@ -130,12 +130,13 @@ def test_kernels_match_oracle():
     empty = 0
     for cs in seeded_covers(11):
         elements = [(eid, n) for eid, n, _ in cs.elements()]
+        holders = cs.holders(cs.num_levels, cs.working_level)
+        hits = _hits(cs.working_complex().simplices, holders)
         for _ in range(12):
             sigma = rng.sample(elements, rng.randint(1, min(3, len(elements))))
             expected = reference_kernel_carriers(cs, sigma)
-            assert sorted(_kernel_carriers(cs, sigma), key=simplex_key) == sorted(
-                expected, key=simplex_key
-            )
+            carriers = [tau for tau, hit in hits.items() if set(sigma) <= hit]
+            assert sorted(carriers, key=simplex_key) == sorted(expected, key=simplex_key)
             least = min(expected, key=simplex_key, default=None)
             assert kernel_query(cs, sigma) == least
             empty += not expected
@@ -211,8 +212,9 @@ def test_equal_hit_sets_are_one_object():
     space = tet_space()
     stars = vertex_star_cover(space).levels[0]
     cs = cover_sequence(space, [[(eid, push_star(star, 2)) for eid, star in stars]] * 3)
-    hits = cs.hit_sets
-    assert len(hits) == len(space.stage_complex(2).simplices)
+    stage = space.stage_complex(2)
+    hits = _hits(stage.simplices, cs.holders(cs.num_levels, cs.working_level))
+    assert len(hits) == len(stage.simplices)
     distinct = set(hits.values())
     assert len({id(hit) for hit in hits.values()}) == len(distinct) == 15
 
@@ -239,6 +241,27 @@ def test_holders_match_oracle():
                     assert held == reference_holders(c, kappa, level)
                     orders.update(len({n for _, n in h}) for h in held.values())
     assert {1, 2, 3} <= orders
+
+
+def test_containing_matches_oracle():
+    """The elements whose pushed cores hold a given core, for each element's
+    own core and each single stage vertex, at the working level and, below
+    stage 3, one level finer."""
+    found = set()
+    for cs in seeded_covers(37):
+        w = cs.working_level
+        for kappa in range(1, cs.num_levels + 1):
+            for level in (w, w + 1) if w < 2 else (w,):
+                pushed = {
+                    (eid, n): reference_push_star(star, level).core_vertices
+                    for eid, n, star in cs.elements(kappa)
+                }
+                singles = [frozenset([v]) for v in cs.space.stage_complex(level).vertices]
+                for core in list(pushed.values()) + singles:
+                    held = cs.containing(kappa, level, core)
+                    assert held == {e for e, c in pushed.items() if core <= c}
+                    found.add(min(len(held), 2))
+    assert found == {0, 1, 2}
 
 
 def test_working_level_questions_push_nothing(monkeypatch):

@@ -28,6 +28,8 @@ from polycover.fixtures import edge_space, rem_cover, tri_space, vertex_star_cov
 from polycover.selections import carrier_tables
 from polycover.complexes import coned
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
 
 def fs(*vs):
     return frozenset(vs)
@@ -142,6 +144,47 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             read(doc)
         assert (err.value.path, err.value.reason) == (path, "expected a nonempty string")
+
+    @pytest.mark.parametrize("value", ["1/0", "-2/00", "0/0"])
+    def test_zero_denominator_is_refused(self, value):
+        doc = {"level": 0, "coords": {"a": "1/2", "b": value}}
+        with pytest.raises(SchemaError) as err:
+            jsonio.point_from_json(edge_space(), doc)
+        assert (err.value.path, err.value.reason) == (
+            "$.coords['b']", "a denominator must be nonzero"
+        )
+
+    def test_point_schema_refuses_zero_denominators(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(
+            (Path(__file__).parent.parent / "schemas" / "point.schema.json").read_text()
+        )
+        for value, ok in (("1/0", False), ("3/00", False), ("1/3", True), ("2/10", True),
+                          ("-1/03", True), ("7", True)):
+            doc = {"level": 0, "coords": {"a": value}}
+            assert jsonschema.Draft202012Validator(schema).is_valid(doc) == ok, value
+
+    def test_image_keys_must_be_source_vertices(self):
+        doc = json.loads((GOLDEN_INPUTS / "cone.json").read_text())
+        doc["vertex_images"][""] = "yb"
+        with pytest.raises(SchemaError) as err:
+            jsonio.cone_input_from_json(doc)
+        assert (err.value.path, err.value.reason) == (
+            "$.vertex_images['']", "names no source vertex"
+        )
+
+    @pytest.mark.parametrize("pair", [["a", 1], ["zz", 0]])
+    def test_map_rows_must_name_cover_elements(self, pair):
+        space = edge_space()
+        cs = cover_sequence(space, [[("a", star_set(space, 0, ["a"])),
+                                     ("b", star_set(space, 0, ["b"]))]])
+        target = validate_complex([["t"]])
+        rows = [{"vertex": ["a", 0], "image": "t"}, {"vertex": pair, "image": "t"}]
+        with pytest.raises(SchemaError) as err:
+            jsonio.delta_map_from_json(cs, target, {"vertex_images": rows})
+        assert (err.value.path, err.value.reason) == (
+            "$.vertex_images[1].vertex", "names no cover element"
+        )
 
     def test_missing_field_path(self):
         with pytest.raises(SchemaError) as err:
@@ -477,3 +520,56 @@ class TestCli:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
+
+
+def _cli_refusal(argv, capsys, monkeypatch) -> tuple:
+    """Exit code, stdout and stderr of a CLI call on the golden inputs,
+    including calls that argparse ends with SystemExit."""
+    monkeypatch.chdir(GOLDEN_INPUTS)
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCliRefusals:
+    """Refusals of the command line itself, each with exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["complex", "missing.json"],
+             "schema error: input: cannot read 'missing.json': No such file or directory"),
+            (["nerve", "--cover", "rem.cover.json", "--unindexed"],
+             "schema error: --unindexed: only the delta command supports it"),
+            (["delta", "--cover", "rem.cover.json", "--unindexed", "--format", "dot"],
+             "schema error: --format: unindexed output is JSON only"),
+            (["selection", "--cover", "skeletal.cover.json", "--map", "skeletal.map.json",
+              "--predicate", "skeletal"],
+             "schema error: --tables: the skeletal predicate needs carrier tables"),
+        ],
+    )
+    def test_schema_refusal_is_one_stderr_line(self, argv, line, capsys, monkeypatch):
+        assert _cli_refusal(argv, capsys, monkeypatch) == (2, "", line + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["nerve", "--cover", "rem.cover.json", "--kappa", "x"],
+             "polycover nerve: error: argument --kappa: kappa is an integer or 'omega'"),
+            (["mu-driver", "--mode", "dim:x", "rem.cover.json"],
+             "polycover mu-driver: error: argument --mode/--mu: dimension mode is dim:<n>"),
+            (["mu-driver", "--mode", "dim:-1", "rem.cover.json"],
+             "polycover mu-driver: error: argument --mode/--mu: dimension mode is dim:<n>"),
+            (["mu-driver", "--mode", "z", "rem.cover.json"],
+             "polycover mu-driver: error: argument --mode/--mu: "
+             "mode is one of c, finite-c, dim:<n>"),
+        ],
+    )
+    def test_bad_argument_ends_usage_with_one_line(self, argv, line, capsys, monkeypatch):
+        code, out, err = _cli_refusal(argv, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: polycover ")
+        assert err.splitlines()[-1] == line

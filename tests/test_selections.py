@@ -26,6 +26,9 @@ from polycover import (
     is_setvalued_selection,
     is_skeletal_selection,
     nerve,
+    ostrand_refine,
+    pad_levels,
+    refinement_as_cover,
     refinement_map,
     star_set,
     transfer_selection,
@@ -201,6 +204,19 @@ class TestTransferSelection:
         f = transfer_selection(h, r)
         assert is_selection(f, cs, 2)
         assert is_canonical(f, cs, 2)
+
+    def test_transfer_lands_in_the_one_per_level_complex(self):
+        """The refinement map's target is the coarse one-per-level complex,
+        so a map into the fine nerve transfers to a DELTA map, and its
+        fibers extract to a refinement of the coarse cover."""
+        coarse = pad_levels(rem_cover(), 3)
+        fine = refinement_as_cover(ostrand_refine(rem_cover(), 2))
+        h = build_canonical(fine, 3, FULL_NERVE)
+        f = transfer_selection(h, refinement_map(fine, coarse, 3))
+        assert h.kind == FULL_NERVE and f.kind == DELTA
+        assert f.map.target is delta_subcomplex(coarse, 3)
+        families = extract_c_refinement(f, coarse, 3)
+        assert verify_c_refinement(CRefinement(tuple(families), 3, coarse))
 
     def test_compose_error(self):
         cs = rem_cover()
