@@ -16,6 +16,9 @@ some working-stage simplex, the union of its vertices' holders.  A face's
 hit set lies inside that of any facet holding it, so nerves and
 one-per-level complexes, plain complexes, are built from the facets' hit
 sets alone, once per cover, kind and prefix (`CoverSequence.nerves`).
+One-per-level complexes are joins: the one-per-level subsets of a hit set
+are the faces of the join of its per-level parts, whose facets take one
+element from each level the hit set meets (`_one_per_level_facets`).
 Containment reads the same index: at one level, the elements containing
 a star-set are those holding every vertex of its core
 (`CoverSequence.containing`).  These caches, and the families pushed to
@@ -25,6 +28,7 @@ place, `uncovered_vertex`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -233,14 +237,16 @@ def _facet_hit_sets(cs: CoverSequence, kappa: int) -> set:
     return set(_hits(cs.working_complex().facets, holders).values())
 
 
-def _one_per_level(hit, kappa: int) -> frozenset:
-    """The nonempty subsets of hit with at most one vertex per level below
-    kappa: extend every subset so far by each level-n vertex, level by level."""
-    out = {frozenset()}
-    for n in range(kappa):
-        at_n = [v for v in hit if v[1] == n]
-        out |= {s | {v} for s in out for v in at_n}
-    return frozenset(out - {frozenset()})
+def _one_per_level_facets(hit, kappa: int):
+    """Yield the facets of the one-per-level subsets of hit, as tuples.
+    Those subsets are the faces of the join of hit's per-level parts, so
+    each facet takes one element from each level that hit meets; an empty
+    hit has none."""
+    parts = [[] for _ in range(kappa)]
+    for element in hit:
+        parts[element[1]].append(element)
+    if hit:
+        yield from itertools.product(*(part for part in parts if part))
 
 
 def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> SimplicialComplex:
@@ -253,7 +259,7 @@ def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> Simplicia
         if kind == FULL_NERVE:
             simplices = face_closure(hits)
         else:
-            simplices = frozenset().union(*(_one_per_level(h, kappa) for h in hits))
+            simplices = face_closure(f for h in hits for f in _one_per_level_facets(h, kappa))
         built = SimplicialComplex(simplices)
         cs.nerves[kind, kappa] = built
     return built
@@ -287,7 +293,7 @@ def delta_at_carrier(
     if tau not in cs.working_complex().simplices:
         raise UnknownCarrier("tau is not a simplex of the working stage")
     hit = _hits([tau], cs.holders(kappa, cs.working_level))[tau]
-    return SimplicialComplex(_one_per_level(hit, kappa))
+    return SimplicialComplex(face_closure(_one_per_level_facets(hit, kappa)))
 
 
 def refinement_map(

@@ -12,8 +12,11 @@ v is in its core, because {v} is itself a simplex of the stage.  So
 containment and equality of star-sets are containment and equality of
 their cores.  Two star-sets meet iff their cores share a vertex or a stage
 edge joins them: a stage simplex meeting both holds u in one core, w in
-the other, and the face {u, w}.  Pushing a star-set one level down reads
-the simplices containing each core vertex off the stage's `stars` index.
+the other, and the face {u, w}.  So a family is pairwise disjoint iff no
+held vertex has two holders and no stage edge joins two different
+holders, which one pass over the held vertices decides (`_least_overlap`).
+Pushing a star-set one level down reads the simplices containing each
+core vertex off the stage's `stars` index.
 """
 
 from __future__ import annotations
@@ -141,9 +144,13 @@ class BarycentricPoint:
 
 
 def _to_fraction(x) -> Fraction:
+    """x as an exact Fraction, or InvalidPoint naming the value."""
     if isinstance(x, float):
         raise InvalidPoint("float coordinates are not allowed; use Fraction or str")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidPoint(f"coordinate {x!r} is not an exact rational") from None
 
 
 def stage_point(space: PolyhedralSpace, level: int, coords: dict) -> BarycentricPoint:
@@ -310,16 +317,35 @@ def _near(adj: dict, core) -> set:
 
 def _least_overlap(stage: SimplicialComplex, families: list) -> tuple | None:
     """The least (n, i, j), i < j, such that star-sets i and j of family n
-    overlap at this stage, or None.  A pass from the last core down keeps,
-    for each vertex, the least later core whose `_near` set holds it."""
-    found = []
+    overlap at this stage, or None.
+
+    Per family, one index maps each held stage vertex to the elements
+    holding it, in family order.  Two elements overlap iff both hold one
+    vertex or they hold the two ends of a stage edge.  So the least pair
+    is the least of the first two holders of each vertex and the first
+    holders of each edge's two ends, where these differ: any other pair
+    across an edge is no less than one of those.  A vertex none of whose
+    neighbours is held is skipped without a walk over them."""
+    adj = stage.neighbours
     for n, cores in enumerate(families):
-        reach: dict = {}
-        for i in reversed(range(len(cores))):
-            later = [reach[v] for v in cores[i] if v in reach]
-            found.extend((n, i, j) for j in later)
-            reach.update(dict.fromkeys(_near(stage.neighbours, cores[i]), i))
-    return min(found, default=None)
+        held: dict = {}
+        for i, core in enumerate(cores):
+            for v in core:
+                held.setdefault(v, []).append(i)
+        none = least = (len(cores), 0)
+        for v, mine in held.items():
+            i = mine[0]
+            if len(mine) > 1:
+                least = min(least, (i, mine[1]))
+            near = adj.get(v, ())
+            if not held.keys().isdisjoint(near):
+                for w in near:
+                    theirs = held.get(w)
+                    if theirs is not None and i < theirs[0]:
+                        least = min(least, (i, theirs[0]))
+        if least != none:
+            return (n, *least)
+    return None
 
 
 def star_subset(s1: StarSet, s2: StarSet) -> bool:

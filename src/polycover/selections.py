@@ -30,6 +30,7 @@ from .complexes import (
     compose_maps,
     cone,
     coned,
+    face_closure,
     vlabel,
 )
 from .covers import (
@@ -38,7 +39,7 @@ from .covers import (
     CoverSequence,
     _check_kappa,
     _hits,
-    _one_per_level,
+    _one_per_level_facets,
     cover_sequence,
     delta_subcomplex,
     nerve,
@@ -419,15 +420,19 @@ def _maps_into_tables(
 ) -> bool:
     """True iff each one-per-level simplex sigma of the first n+1 levels
     maps into table k, for k from |sigma|-1 (if skeletal) or n up to n, at
-    every working carrier tau whose kernel holds sigma: the one-per-level
-    subsets of tau's hit set (`delta_at_carrier`).  Carriers with one hit
-    set are walked together, so each sigma's image is taken once per set."""
+    every working carrier tau whose kernel holds sigma: the faces of the
+    one-per-level facets of tau's hit set (`delta_at_carrier`).  Table
+    values are face-closed, so for one table the facets decide; the
+    skeletal walk reads every face, since its tables depend on |sigma|.
+    Carriers with one hit set are walked together, so each sigma's image
+    is taken once per set."""
     holders = cs.holders(n + 1, cs.working_level)
     carriers: dict = {}
     for tau, hit in _hits(cs.working_complex().simplices, holders).items():
         carriers.setdefault(hit, []).append(tau)
     for hit, taus in carriers.items():
-        for sigma in _one_per_level(hit, n + 1):
+        sigmas = _one_per_level_facets(hit, n + 1)
+        for sigma in face_closure(sigmas) if skeletal else sigmas:
             image = f.image(sigma)
             for k in range(len(sigma) - 1 if skeletal else n, n + 1):
                 if any(image not in phi.tables[k][tau].simplices for tau in taus):

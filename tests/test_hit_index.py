@@ -13,6 +13,8 @@ import itertools
 import random
 import weakref
 
+from hypothesis import given, settings, strategies as st
+
 from polycover import (
     PolyhedralSpace,
     SimplicialMap,
@@ -27,6 +29,7 @@ from polycover import (
     kernel_query,
     maximal_simplices,
     nerve,
+    ostrand_refine,
     push_star,
     refinement_map,
     simplex_key,
@@ -48,6 +51,8 @@ from polycover.realization import _least_overlap
 
 from helpers import (
     dangling_space,
+    moebius_space,
+    projective_plane_space,
     random_cover,
     random_disjoint_cover,
     reference_delta_at_carrier,
@@ -61,7 +66,9 @@ from helpers import (
     reference_push_star,
     reference_refinement_map,
     reference_unindexed_delta,
+    sphere_space,
     sweep_least_overlap,
+    torus_space,
     two_triangles_space,
 )
 
@@ -76,6 +83,11 @@ GROUNDS = [
 ]
 
 
+# the bases typed in by `tests/helpers.py`, beyond the fixtures
+TYPED_IN = (sphere_space, torus_space, projective_plane_space, moebius_space,
+            dangling_space, two_triangles_space)
+
+
 def seeded_covers(seed: int):
     """Two arbitrary and two per-level-disjoint covers per ground and level."""
     rng = random.Random(seed)
@@ -84,6 +96,23 @@ def seeded_covers(seed: int):
             for make in (random_cover, random_cover, random_disjoint_cover,
                          random_disjoint_cover):
                 yield make(space_fn(), rng, level, rng.randint(1, 3))
+
+
+def typed_in_covers(seed: int):
+    """Per typed-in base at working levels 0 and 1, an arbitrary and a
+    per-level-disjoint cover of four levels, and one of three levels after
+    a first level of one vertex star: hit sets of the facets away from that
+    star miss level 0."""
+    rng = random.Random(seed)
+    for space_fn in TYPED_IN:
+        for level in (0, 1):
+            for make in (random_cover, random_disjoint_cover):
+                space = space_fn()
+                yield make(space, rng, level, 4)
+                v = rng.choice(sorted(space.stage_complex(level).vertices, key=vlabel))
+                first = [("S", StarSet(space, level, frozenset([v])))]
+                rest = make(space, rng, level, 3).levels
+                yield cover_sequence(space, [first] + [list(row) for row in rest])
 
 
 def test_maximal_simplices_matches_pairwise_oracle():
@@ -123,6 +152,27 @@ def test_nerves_and_one_per_level_complexes_match_oracles():
                 assert delta_at_carrier(cs, kappa, tau).simplices == (
                     reference_delta_at_carrier(cs, kappa, tau)
                 )
+
+
+def test_one_per_level_facets_match_oracles_on_typed_in_bases():
+    """The one-per-level complex and its carrier values, built from the
+    product facets of hit sets, against the subset filters of the oracles,
+    for every prefix up to four levels.  Some facet hit sets miss a level,
+    so their per-level parts include empty ones."""
+    missing = 0
+    for cs in typed_in_covers(43):
+        for kappa in range(1, cs.num_levels + 1):
+            assert delta_subcomplex(cs, kappa).simplices == (
+                reference_delta_subcomplex(cs, kappa)
+            )
+            for tau in cs.working_complex().simplices:
+                assert delta_at_carrier(cs, kappa, tau).simplices == (
+                    reference_delta_at_carrier(cs, kappa, tau)
+                )
+        holders = cs.holders(cs.num_levels, cs.working_level)
+        hits = _hits(cs.working_complex().facets, holders).values()
+        missing += any(len({n for _, n in hit}) < cs.num_levels for hit in hits)
+    assert missing >= 12
 
 
 def test_kernels_match_oracle():
@@ -197,6 +247,134 @@ def test_least_overlap_takes_the_least_family_and_no_pair_across_families():
     assert _least_overlap(stage, [[], [a], [b, c], [a, b]]) == (2, 0, 1)
     assert _least_overlap(stage, [[c], [a, b, c], [a, b]]) == (1, 0, 1)
     assert _least_overlap(stage, []) is None
+
+
+def _sweep_least(families: list):
+    """The least (n, i, j) by `sweep_least_overlap` over each family of
+    star-sets in turn, or None."""
+    for n, stars in enumerate(families):
+        pair = sweep_least_overlap(stars)
+        if pair is not None:
+            return (n, *pair)
+    return None
+
+
+def _least(stage, families: list):
+    return _least_overlap(stage, [[s.core_vertices for s in stars] for stars in families])
+
+
+def _ball(stage, centre) -> set:
+    """The stage vertices within two edges of `centre`."""
+    adj = stage.neighbours
+    ball = {centre} | adj[centre]
+    return ball.union(*(adj[v] for v in ball))
+
+
+def _window(stage, stars: list, centre, size: int, rng) -> list:
+    """Up to `size` of the star-sets, kept in family order, whose cores come
+    within two edges of the stage vertex `centre`."""
+    ball = _ball(stage, centre)
+    close = [k for k, star in enumerate(stars) if star.core_vertices & ball]
+    return [stars[k] for k in sorted(rng.sample(close, min(size, len(close))))]
+
+
+def _planted(stage, stars: list, rng) -> tuple:
+    """stars with a planted overlap, and which kind: a vertex held by three
+    elements (a copy of one element and its union with another), or one
+    element holding only a neighbour of another's core vertex."""
+    out = list(stars)
+    space, level = stars[0].space, stars[0].level
+    p = rng.randrange(len(stars))
+    core = stars[p].core_vertices
+    cores = [star.core_vertices for star in stars]
+    outside = [
+        w for v in sorted(core, key=vlabel) for w in sorted(stage.neighbours[v], key=vlabel)
+        if not any(w in c for c in cores)
+    ]
+    if outside and rng.random() < 0.5:
+        w = rng.choice(outside)
+        out.insert(rng.randint(0, len(out)), StarSet(space, level, frozenset([w])))
+        return out, "edge"
+    q = rng.randrange(len(stars))
+    out.insert(rng.randint(0, len(out)), StarSet(space, level, core))
+    out.insert(rng.randint(0, len(out)), StarSet(space, level, core | cores[q]))
+    return out, "three"
+
+
+# (space, working levels) of the vertex-star covers refined by `ostrand_refine`:
+# their families live one stage finer.  The tetrahedron's stage 4 is over the
+# stage limit, and each pairwise sweep at its stage 3 walks 61,649 simplices.
+OSTRAND_GROUNDS = [(tri_space, (1, 2, 3)), (tet_space, (1, 2))] + [
+    (space_fn, (1,)) for space_fn in TYPED_IN[:4]
+]
+
+
+def test_least_overlap_on_refinement_families_matches_sweep():
+    """Families of `ostrand_refine` at stages 2-4 of the triangle, 2-3 of
+    the tetrahedron and 2 of S², the torus, RP² and the Möbius band.  Whole
+    families are disjoint; windows of elements near one stage vertex are
+    checked against the pairwise sweep, clean, with a planted overlap in the
+    last family, and with one in the first family; a family of copies of
+    one large element overlaps first at (0, 1)."""
+    rng = random.Random(59)
+    planted = set()
+    for space_fn, levels in OSTRAND_GROUNDS:
+        space = space_fn()
+        for level in levels:
+            cs = vertex_star_cover(space)
+            cs = cover_sequence(space, [
+                [(eid, push_star(star, level)) for eid, star in row] for row in cs.levels
+            ])
+            r = ostrand_refine(cs, space.base.dim)
+            stage = space.stage_complex(level + 1)
+            families = [[star for _, star in family] for family in r.families]
+            assert _least(stage, families) is None
+            for _ in range(2 if level < 2 else 1):
+                centre = rng.choice(sorted(stage.vertices, key=vlabel))
+                windows = [_window(stage, stars, centre, 4, rng) for stars in families]
+                windows = [w for w in windows if w]
+                assert _sweep_least(windows) is None
+                assert _least(stage, windows) is None
+                last, kind = _planted(stage, windows[-1], rng)
+                later = windows[:-1] + [last]
+                assert _least(stage, later) == _sweep_least(later)
+                assert _least(stage, later)[0] == len(later) - 1
+                first, _ = _planted(stage, windows[0], rng)
+                assert _least(stage, [first] + later) == _sweep_least([first] + later)
+                planted.add(kind)
+            big = StarSet(space, level + 1, frozenset().union(
+                *(star.core_vertices for star in families[0])))
+            copies = [big] * 40
+            assert _least(stage, [copies]) == (0, 0, 1)
+            assert sweep_least_overlap(copies[:2]) == (0, 1)
+    assert planted == {"edge", "three"}
+
+
+# Built once: a space's stage tower is a deterministic cache, so the examples
+# can share it instead of subdividing again for each one.
+TYPED_IN_SPACES = [space_fn() for space_fn in TYPED_IN]
+
+
+@st.composite
+def local_families(draw):
+    """A stage 0-2 of a typed-in base and up to three families of up to
+    five cores drawn near one stage vertex (within two edges), so that
+    cores overlap by vertices, by edges only, or not at all."""
+    space = draw(st.sampled_from(TYPED_IN_SPACES))
+    level = draw(st.integers(0, 2))
+    stage = space.stage_complex(level)
+    centre = draw(st.sampled_from(sorted(stage.vertices, key=vlabel)))
+    ball = sorted(_ball(stage, centre), key=vlabel)
+    core = st.frozensets(st.sampled_from(ball), min_size=1, max_size=3)
+    cores = draw(st.lists(st.lists(core, max_size=5), min_size=1, max_size=3))
+    return stage, [[StarSet(space, level, c) for c in family] for family in cores]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(local_families())
+def test_least_overlap_matches_sweep_on_random_families(drawn):
+    stage, families = drawn
+    assert _least(stage, families) == _sweep_least(families)
 
 
 def test_a_cover_is_freed_once_its_nerve_is_built():
@@ -354,15 +532,14 @@ def _tables(kernels: dict, levels: int, f, keep) -> list:
     ]
 
 
-def test_skeletal_predicates_match_kernel_sweeps():
-    """A random map on the prefix complex with tables built from its images
-    (table k holds every kernel simplex of at most k+1 vertices, so the map
-    passes), the map with one image changed, and tables holding only the
-    simplices of exactly k+1 vertices.  One arbitrary and one per-level
-    disjoint cover per ground and level."""
-    rng = random.Random(31)
+def _skeletal_verdicts(covers, rng) -> set:
+    """On each cover, a random map on the prefix complex with tables built
+    from its images (table k holds every kernel simplex of at most k+1
+    vertices, so the map passes), the map with one image changed, and
+    tables holding only the simplices of exactly k+1 vertices: both
+    skeletal predicates against the kernel sweeps.  Returns the verdicts."""
     verdicts = set()
-    for cs in itertools.islice(seeded_covers(29), 0, None, 2):
+    for cs in covers:
         source = delta_subcomplex(cs, cs.num_levels)
         vertices = sorted(source.vertices, key=vlabel)
         images = {v: rng.choice(NAMES) for v in vertices}
@@ -385,5 +562,45 @@ def test_skeletal_predicates_match_kernel_sweeps():
                 assert setvalued == reference_is_setvalued_selection(m, cs, phi, n)
                 verdicts.add(("setvalued", setvalued))
             verdicts.add(("skeletal", skeletal, tables is exact))
-    assert {("skeletal", True, False), ("skeletal", False, False),
-            ("skeletal", False, True), ("setvalued", True), ("setvalued", False)} <= verdicts
+    return verdicts
+
+
+VERDICTS = {("skeletal", True, False), ("skeletal", False, False),
+            ("skeletal", False, True), ("setvalued", True), ("setvalued", False)}
+
+
+def test_skeletal_predicates_match_kernel_sweeps():
+    """One arbitrary and one per-level disjoint cover per ground and level."""
+    covers = itertools.islice(seeded_covers(29), 0, None, 2)
+    assert VERDICTS <= _skeletal_verdicts(covers, random.Random(31))
+
+
+def test_skeletal_predicates_match_kernel_sweeps_on_typed_in_bases():
+    """Four-level covers of the typed-in bases whose first level is one
+    vertex star, so that some facet hit sets miss it."""
+    covers = itertools.islice(typed_in_covers(47), 1, None, 2)
+    assert VERDICTS <= _skeletal_verdicts(covers, random.Random(53))
+
+
+def test_skeletal_predicate_reads_every_face():
+    """Every stage vertex lies in a star of each level, so every one-per-level
+    facet has one element per level.  With table 0 cut down to x0 and table
+    1 holding every image, the facets pass and the vertices do not: a walk
+    over facets alone would accept the map."""
+    for level in (0, 1):
+        cs = vertex_star_cover(tri_space(), 2)
+        cs = cover_sequence(cs.space, [
+            [(eid, push_star(star, level)) for eid, star in row] for row in cs.levels
+        ])
+        source = delta_subcomplex(cs, 2)
+        f = SimplicialMap(source, SIMPLEX, {v: "x1" for v in source.vertices})
+        kernels = {
+            tau: reference_delta_at_carrier(cs, 2, tau)
+            for tau in cs.working_complex().simplices
+        }
+        upto = _tables(kernels, 2, f, lambda size, k: size <= k + 1)
+        low = [{tau: validate_complex([{"x0"}]) for tau in kernels}, upto[1]]
+        phi = carrier_tables(cs.space, level, SIMPLEX, low)
+        assert not is_skeletal_selection(f, cs, phi)
+        assert not reference_is_skeletal_selection(f, cs, phi)
+        assert is_setvalued_selection(f, cs, phi, 1)

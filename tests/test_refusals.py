@@ -6,8 +6,10 @@ import re
 import pytest
 
 from polycover import (
+    BarycentricPoint,
     SimplicialMap,
     bootstrap_skeletal_selection,
+    carrier,
     carrier_tables,
     cone_extend,
     cover_sequence,
@@ -17,11 +19,12 @@ from polycover import (
     is_setvalued_selection,
     is_skeletal_selection,
     refinement_map,
+    stage_point,
     star_relation,
     star_set,
     validate_complex,
 )
-from polycover.errors import ArityError, EmptyPrefix, SkeletonViolation
+from polycover.errors import ArityError, EmptyPrefix, InvalidPoint, SkeletonViolation
 from polycover.fixtures import edge_space, tri_space, vertex_star_cover
 
 from test_selections import edge_phi
@@ -119,3 +122,15 @@ class TestStarSetsAndCones:
         g = SimplicialMap(validate_complex([{"a"}]), t, {"a": "y"})
         with refused(SkeletonViolation, "the chain needs at least two members"):
             cone_extend(g, "v", "q", [t])
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("value", ["1/0", "x", None, [1]])
+    def test_a_coordinate_that_is_no_rational(self, value):
+        with refused(InvalidPoint, f"coordinate {value!r} is not an exact rational"):
+            stage_point(tri_space(), 0, {"a": value})
+
+    def test_the_carrier_of_a_point_built_directly(self):
+        p = BarycentricPoint(0, {"a": "1/0"}, tri_space().stage_complex(0))
+        with refused(InvalidPoint, "coordinate '1/0' is not an exact rational"):
+            carrier(p)
