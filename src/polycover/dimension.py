@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .complexes import check_simplicial_map, simplex_key, vlabel
 from .covers import (
@@ -175,6 +177,13 @@ class SearchResult:
     audits: tuple = field(default_factory=tuple)
 
 
+# Search table cap: a level-3 triangle search has no end yet, and without a
+# bound its table grows until memory runs out.  65,536 entries of that search
+# take about 30 MB, and clearing a full table only costs repeated walks,
+# never counts.
+SEARCH_TABLE_CAP = 65_536
+
+
 def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     """Exhaustive assignment search at one subdivision level.
 
@@ -184,23 +193,43 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     element, and conversely every such assignment yields a valid
     refinement with the components as elements.
 
-    Domains are forward-checked (Haralick & Elliott 1980) and never
-    re-derived.  At every node, for each unassigned vertex i and family
-    fam, `dom[fam][i]` is the mask of level-fam source elements that could
-    still hold the component i would join in fam: those containing i's
-    star (`CoverSequence.containing`, read off the padded cover's holders
-    at the common level), ANDed with the possible elements of every fam
-    component adjacent to i.  `live[fam] & unassigned` is the set of
-    unassigned vertices whose `dom[fam]` is nonzero (bits of assigned
-    vertices are left in `live`; they are masked off, not cleared).
-    Assigning i to fam merges i with its adjacent fam components into one
-    whose possible elements are P = `dom[fam][i]`, and ANDs P into
-    `dom[fam][j]` for the unassigned neighbours j of that component only;
-    a per-branch trail undoes it.  A vertex in no live mask kills the
-    branch, and the branching vertex is the one in the fewest live masks,
-    ties going to the lowest index.  Components are undoable union-find
-    trees: merging points the old roots at i, backtracking points them
-    back at themselves.
+    Domains are forward-checked (Haralick & Elliott 1980) and kept
+    transposed.  `holds[fam][e]` is the mask of vertices that element e of
+    family fam (the level-fam source elements, in cover order) could still
+    hold: those whose star e contains (`CoverSequence.containing`, read off
+    the padded cover's holders at the common level), less the neighbours of
+    every fam component that e cannot hold.  Vertex j's domain in fam is
+    the set of e whose `holds[fam][e]` has bit j, and `live[fam]`, the OR of
+    `holds[fam]`, is the set of vertices with a nonempty domain (both are
+    read only under `unassigned`; bits of assigned vertices mean nothing).
+    A component is its (member mask, neighbour mask).  Assigning i to fam
+    merges i with the fam components whose neighbours hold i, and clears
+    the merged neighbours from each element that does not hold i, so those
+    neighbours may only join that component through an element that can
+    hold all of it; backtracking restores the family's row and components.
+    A vertex in no live mask kills the branch, and the branching vertex is
+    the one in the fewest live masks, ties going to the lowest index.
+
+    Failed subtrees are answered from a table (nogood recording, Dechter
+    1990, storing counts as in Bacchus, Dalmao & Pitassi 2003).  Below a
+    node that survives the prune check, the walk reads only its residual
+    state: the unassigned set U; `holds[fam][e] & U` for every family and
+    element (the live masks and the branching vertex follow from these);
+    for each family, the set of `neighbours & U` over its components (a
+    vertex joining merges exactly the components whose neighbours hold it,
+    and the new neighbours are read again only inside U; members matter
+    only to the certificate, which a failed subtree never reaches); and
+    whether each family is open, which is whether that set is nonempty.
+    U is also the OR of the masked rows, since every unassigned vertex of
+    such a node is live in some family; it leads the key as a nonzero
+    field.  Two nodes with equal residual states therefore root equal
+    subtrees with equal node and prune counts, so a failed subtree's
+    counts are stored under its state and added, without a walk, wherever
+    the state recurs.  A found subtree ends the search and is never
+    stored.  The audit counts every node and prune of the full tree,
+    looked up or walked, in Python ints: one level-3 subtree holds more
+    than 2**32 nodes.  The table is released when the level's search ends,
+    and cleared whenever it reaches `SEARCH_TABLE_CAP` entries.
     """
     space = cs.space
     common = max(level, cs.working_level)
@@ -219,13 +248,13 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
         (eid, n): j for n, row in enumerate(rows) for j, (eid, _) in enumerate(row)
     }
 
-    dom = [[0] * nv for _ in range(kappa)]
-    live = [0] * kappa
+    holds = [[0] * len(row) for row in rows]
     for i, v in enumerate(verts):
         star = push_star(StarSet(space, level, frozenset([v])), common)
         for eid, fam in padded.containing(kappa, common, star.core_vertices):
-            dom[fam][i] |= 1 << position[eid, fam]
-            live[fam] |= 1 << i
+            holds[fam][position[eid, fam]] |= 1 << i
+    live = [reduce(or_, row, 0) for row in holds]
+    comps: list = [[] for _ in range(kappa)]
 
     # Families whose element point sets agree are interchangeable; breaking
     # that symmetry (a class member may only be opened after every earlier
@@ -235,33 +264,12 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
         for fam in range(kappa)
     ]
 
-    parent = list(range(nv))
-    comp = [None] * nv  # root -> (member mask, neighbour mask)
-    assigned = [0] * kappa
+    table: dict = {}
     nodes = prunes = 0
-    solution: list = []
-
-    def extract_solution():
-        families = []
-        for fam in range(kappa):
-            roots = [
-                root for root in range(nv)
-                if assigned[fam] >> root & 1 and parent[root] == root
-            ]
-            row = []
-            for root in roots:
-                members = frozenset(
-                    verts[i] for i in range(nv) if comp[root][0] >> i & 1
-                )
-                eid = min((vlabel(v) for v in members))
-                row.append((eid, StarSet(space, level, members)))
-            families.append(tuple(sorted(row, key=lambda e: e[0])))
-        solution.append(tuple(families))
 
     def dfs(unassigned: int) -> bool:
         nonlocal nodes, prunes
         if unassigned == 0:
-            extract_solution()
             return True
         # at_least[c]: unassigned vertices viable in at least c families.
         at_least = [unassigned] + [0] * (kappa + 1)
@@ -271,68 +279,77 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
         if unassigned != at_least[1]:
             prunes += 1
             return False
+        # The residual state as one int of nv-bit fields: U, every holds
+        # mask within U, then per family the count of its distinct
+        # component neighbour masks within U and those masks in order.
+        # U is nonzero and leads, so the int's length fixes the number of
+        # fields, and the counts tell where each family's masks end.
+        key = unassigned
+        for row in holds:
+            for h in row:
+                key = key << nv | h & unassigned
+        for fam_comps in comps:
+            groups = sorted({a & unassigned for _, a in fam_comps})
+            key = key << nv | len(groups)
+            for a in groups:
+                key = key << nv | a
+        counts = table.get(key)
+        if counts is not None:
+            nodes += counts[0]
+            prunes += counts[1]
+            return False
+        nodes_before, prunes_before = nodes, prunes
         for c in range(1, kappa + 1):
             fewest = at_least[c] & ~at_least[c + 1]
             if fewest:
                 break
         bit = fewest & (-fewest)
-        i = bit.bit_length() - 1
         for fam in range(kappa):
             if not live[fam] & bit:
                 continue
-            if assigned[fam] == 0 and any(
-                assigned[g] == 0 for g in earlier_twins[fam]
-            ):
+            fam_comps = comps[fam]
+            if not fam_comps and any(not comps[g] for g in earlier_twins[fam]):
                 continue
             nodes += 1
-            poss = dom[fam][i]
-            mask = bit
-            nbrs = adj[i]
-            merged = []
-            rest = adj[i] & assigned[fam]
-            while rest:
-                root = (rest & (-rest)).bit_length() - 1
-                while parent[root] != root:
-                    root = parent[root]
-                members, around = comp[root]
-                merged.append(root)
-                parent[root] = i
-                rest &= ~members
-                mask |= members
-                nbrs |= around
-            comp[i] = (mask, nbrs)
-            assigned[fam] |= bit
-            rest_unassigned = unassigned ^ bit
+            members, around = bit, adj[bit.bit_length() - 1]
+            kept = []
+            for comp in fam_comps:
+                if comp[1] & bit:
+                    members |= comp[0]
+                    around |= comp[1]
+                else:
+                    kept.append(comp)
+            kept.append((members, around))
+            comps[fam] = kept
+            row = holds[fam]
             fam_live = live[fam]
-            row = dom[fam]
-            trail = []
-            rest = nbrs & fam_live & rest_unassigned
-            while rest:
-                low = rest & (-rest)
-                rest ^= low
-                j = low.bit_length() - 1
-                old = row[j]
-                new = old & poss
-                if new != old:
-                    trail.append((j, old))
-                    row[j] = new
-                    if not new:
-                        live[fam] ^= low
-            if dfs(rest_unassigned):
+            holds[fam] = [h if h & bit else h & ~around for h in row]
+            live[fam] = reduce(or_, holds[fam], 0)
+            if dfs(unassigned ^ bit):
                 return True
-            for j, old in trail:
-                row[j] = old
+            comps[fam] = fam_comps
+            holds[fam] = row
             live[fam] = fam_live
-            assigned[fam] ^= bit
-            for root in merged:
-                parent[root] = root
+        if len(table) >= SEARCH_TABLE_CAP:
+            table.clear()
+        table[key] = (nodes - nodes_before, prunes - prunes_before)
         return False
 
-    found = dfs((1 << nv) - 1)
+    try:
+        found = dfs((1 << nv) - 1)
+    finally:
+        table.clear()
     audit = SearchAudit(level, nodes, prunes, found)
     if not found:
         return None, audit
-    return CRefinement(solution[0], kappa, cs), audit
+    families = []
+    for fam_comps in comps:
+        row = []
+        for members, _ in fam_comps:
+            vs = frozenset(verts[i] for i in range(nv) if members >> i & 1)
+            row.append((min(vlabel(v) for v in vs), StarSet(space, level, vs)))
+        families.append(tuple(sorted(row, key=lambda e: e[0])))
+    return CRefinement(tuple(families), kappa, cs), audit
 
 
 def search_c_refinement(

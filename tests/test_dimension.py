@@ -2,9 +2,13 @@
 search, and the equivalence driver."""
 
 import itertools
+import json
+import pathlib
 import random
+import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polycover import (
     CRefinement,
@@ -21,6 +25,7 @@ from polycover import (
     refinement_as_cover,
     refinement_map,
     search_c_refinement,
+    simplex_key,
     star_set,
     validate_complex,
     verify_c_refinement,
@@ -33,7 +38,9 @@ from polycover.errors import (
     NoCoverage,
     NotARefinement,
 )
-from polycover.realization import PolyhedralSpace
+from polycover import dimension
+from polycover.dimension import _search_at_level
+from polycover.realization import PolyhedralSpace, StarSet
 from polycover.fixtures import (
     boundary_space,
     edge_space,
@@ -43,11 +50,17 @@ from polycover.fixtures import (
 )
 
 from helpers import (
+    moebius_space,
+    projective_plane_space,
     random_cover,
     reference_refinement_map,
     reference_search_at_level,
     reference_verify_c_refinement,
+    sphere_space,
+    torus_space,
 )
+
+CATALOG = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "search_catalog.json"
 
 
 class TestVerify:
@@ -244,6 +257,25 @@ def _assert_walks_reference_tree(cs, kappa, max_level, min_level=0):
     return result
 
 
+def _walked(cs, kappa, level):
+    """(audit, calls): one level's search and how many of its calls walked
+    a subtree rather than taking its counts from the table.  The full tree
+    has one call for the root and one for each node."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "dfs":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        _, audit = _search_at_level(cs, kappa, level)
+    finally:
+        sys.setprofile(None)
+    return audit, calls
+
+
 def test_search_walks_the_reference_tree():
     """The forward-checked search visits exactly the nodes of the search that
     re-derives every domain at every node, and finds the same certificate."""
@@ -255,6 +287,10 @@ def test_search_walks_the_reference_tree():
         (tri_space, 3, 2, 0),
         (tri_space, 3, 2, 2),
         (tet_space, 2, 1, 0),
+    ) + tuple(
+        (space_fn, kappa, 1, 0)
+        for space_fn in (sphere_space, torus_space, projective_plane_space, moebius_space)
+        for kappa in (2, 3)
     ):
         cov = vertex_star_cover(space_fn(), kappa)
         _assert_walks_reference_tree(cov, kappa, max_level, min_level)
@@ -280,6 +316,99 @@ def test_search_walks_the_reference_tree():
         _assert_walks_reference_tree(mixed, 3, 2, 2)
     assert len(deep) == 25
     assert all(a.prunes > 0 and not a.found for a in deep)
+
+    # Two families over mixed levels: exhaustive level-2 trees, most of whose
+    # subtrees the table answers.  At most 40,000 nodes each, for the
+    # reference's sake.
+    answered = 0
+    for groups in shapes:
+        if answered == 6:
+            break
+        levels = (groups, rng.choice(shapes), rng.choice(shapes))
+        mixed = cover_sequence(space, [_shape_family(space, g) for g in levels])
+        audit, calls = _walked(mixed, 2, 2)
+        if audit.nodes > 40_000:
+            continue
+        assert calls < audit.nodes + 1
+        _assert_walks_reference_tree(mixed, 2, 2, 2)
+        answered += 1
+    assert answered == 6
+
+
+ONE_LEVEL_GROUNDS = (edge_space(), boundary_space(), tri_space())
+
+
+@st.composite
+def one_level_covers(draw):
+    """A family count of 2 or 3 and a cover of the edge, the boundary or the
+    triangle by one level-1 star-set U(u) per base vertex u.  Each level-1
+    vertex b(s) goes to U(u) for some vertices u of s, and maybe to one more
+    element: star covers, where two families never refine the triangle, and
+    covers that break the star pattern."""
+    space = draw(st.sampled_from(ONE_LEVEL_GROUNDS))
+    base = space.stage_complex(0)
+    vertices = sorted(base.vertices, key=vlabel)
+    cores: dict = {u: set() for u in vertices}
+    for s in sorted(base.simplices, key=simplex_key):
+        owners = draw(st.sets(st.sampled_from(sorted(s, key=vlabel)), min_size=1))
+        owners |= draw(st.sets(st.sampled_from(vertices), max_size=1))
+        for u in owners:
+            cores[u].add(base.barycenters[s])
+    family = [(f"U{vlabel(u)}", StarSet(space, 1, frozenset(cores[u]))) for u in vertices]
+    return cover_sequence(space, [family]), draw(st.integers(2, 3))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(one_level_covers())
+def test_search_matches_reference_on_random_one_level_covers(drawn):
+    cs, kappa = drawn
+    # The reference re-derives every domain at every node: keep its trees
+    # under 20,000 nodes in all.
+    assume(sum(a.nodes for a in search_c_refinement(cs, kappa, 2).audits) <= 20_000)
+    _assert_walks_reference_tree(cs, kappa, 2)
+
+
+def _catalog():
+    """The benchmark's search catalog: each shape's groups and the node
+    count of its two-family search."""
+    return json.loads(CATALOG.read_text(encoding="utf-8"))
+
+
+def _catalog_cover(space, groups):
+    return cover_sequence(space, [_shape_family(space, groups)])
+
+
+def test_search_catalog_trees_are_pinned():
+    """Every shape of the benchmark's search catalog: two families exhaust
+    with the recorded node count, and three families are found and verify."""
+    space = tri_space()
+    catalog = _catalog()
+    assert len(catalog) == 189
+    for entry in catalog:
+        cs = _catalog_cover(space, entry["groups"])
+        two = search_c_refinement(cs, 2, 2)
+        assert two.status == "exhausted"
+        assert sum(a.nodes for a in two.audits) == entry["nodes"]
+        three = search_c_refinement(cs, 3, 2)
+        assert three.status == "found"
+        assert verify_c_refinement(three.refinement).ok
+
+
+@pytest.mark.parametrize("cap", [1, 64])
+def test_table_cap_changes_no_audit(monkeypatch, cap):
+    """Clearing the table whenever it is full only costs walks: the
+    criterion-6 triangle and a sample of catalog shapes keep their audits.
+    The sample keeps to shapes of at most 40,000 nodes, since a cap of 1
+    walks nearly the whole tree."""
+    space = tri_space()
+    catalog = _catalog()
+    sample = [entry for entry in catalog if entry["nodes"] <= 40_000][::10]
+    covers = [vertex_star_cover(space, 2)] + [
+        _catalog_cover(space, entry["groups"]) for entry in sample
+    ]
+    expected = [search_c_refinement(cs, 2, 2).audits for cs in covers]
+    monkeypatch.setattr(dimension, "SEARCH_TABLE_CAP", cap)
+    assert [search_c_refinement(cs, 2, 2).audits for cs in covers] == expected
 
 
 def test_search_over_no_levels_is_refused():
