@@ -17,8 +17,8 @@ hit set lies inside that of any facet holding it, so nerves and
 one-per-level complexes, plain complexes, are built from the facets' hit
 sets alone, once per cover, kind and prefix (`CoverSequence.nerves`).
 One-per-level complexes are joins: the one-per-level subsets of a hit set
-are the faces of the join of its per-level parts, whose facets take one
-element from each level the hit set meets (`_one_per_level_facets`).
+are the faces of the join of its per-level parts, enumerated once each by
+adding one level's part at a time (`_one_per_level_faces`).
 Containment reads the same index: at one level, the elements containing
 a star-set are those holding every vertex of its core
 (`CoverSequence.containing`).  These caches, and the families pushed to
@@ -28,7 +28,6 @@ place, `uncovered_vertex`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,7 +147,7 @@ def cover_sequence(space: PolyhedralSpace, levels) -> CoverSequence:
     for family in levels:
         for _, star in family:
             if star.space != space:
-                raise ValueError("star-set belongs to a different space")
+                raise InvalidArgument("star-set belongs to a different space")
             working = max(working, star.level)
     normalized = []
     for n, family in enumerate(levels):
@@ -156,9 +155,9 @@ def cover_sequence(space: PolyhedralSpace, levels) -> CoverSequence:
         row = []
         for eid, star in family:
             if not isinstance(eid, str):
-                raise ValueError("element ids must be strings")
+                raise InvalidArgument("element ids must be strings")
             if eid in seen:
-                raise ValueError(f"duplicate element id {eid!r} at level {n}")
+                raise InvalidArgument(f"duplicate element id {eid!r} at level {n}")
             seen.add(eid)
             row.append((eid, push_star(star, working)))
         normalized.append(tuple(sorted(row, key=lambda e: e[0])))
@@ -237,16 +236,16 @@ def _facet_hit_sets(cs: CoverSequence, kappa: int) -> set:
     return set(_hits(cs.working_complex().facets, holders).values())
 
 
-def _one_per_level_facets(hit, kappa: int):
-    """Yield the facets of the one-per-level subsets of hit, as tuples.
-    Those subsets are the faces of the join of hit's per-level parts, so
-    each facet takes one element from each level that hit meets; an empty
-    hit has none."""
-    parts = [[] for _ in range(kappa)]
-    for element in hit:
-        parts[element[1]].append(element)
-    if hit:
-        yield from itertools.product(*(part for part in parts if part))
+def _one_per_level_faces(hit) -> list:
+    """Each one-per-level subset of hit, once.  Those subsets are the faces
+    of the join of hit's per-level parts: starting from the empty face,
+    each level's part adds each of its elements to every face found so
+    far, and the empty face is dropped at the end."""
+    faces = [frozenset()]
+    for n in {n for _, n in hit}:
+        part = [e for e in hit if e[1] == n]
+        faces += [face | {e} for face in faces for e in part]
+    return faces[1:]
 
 
 def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> SimplicialComplex:
@@ -259,7 +258,7 @@ def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> Simplicia
         if kind == FULL_NERVE:
             simplices = face_closure(hits)
         else:
-            simplices = face_closure(f for h in hits for f in _one_per_level_facets(h, kappa))
+            simplices = frozenset(f for h in hits for f in _one_per_level_faces(h))
         built = SimplicialComplex(simplices)
         cs.nerves[kind, kappa] = built
     return built
@@ -293,7 +292,7 @@ def delta_at_carrier(
     if tau not in cs.working_complex().simplices:
         raise UnknownCarrier("tau is not a simplex of the working stage")
     hit = _hits([tau], cs.holders(kappa, cs.working_level))[tau]
-    return SimplicialComplex(face_closure(_one_per_level_facets(hit, kappa)))
+    return SimplicialComplex(frozenset(_one_per_level_faces(hit)))
 
 
 def refinement_map(
@@ -306,11 +305,11 @@ def refinement_map(
     (and between the full nerves): kernels only grow along containment.
     """
     if fine.space != coarse.space:
-        raise ValueError("cover sequences live on different spaces")
+        raise InvalidArgument("cover sequences live on different spaces")
     kappa_f = _check_kappa(fine, kappa)
     kappa_c = _check_kappa(coarse, kappa)
     if kappa_f != kappa_c:
-        raise ValueError("prefix lengths differ")
+        raise InvalidArgument("prefix lengths differ")
     level = max(fine.working_level, coarse.working_level)
     images = {}
     for n, row in enumerate(fine.pushed(kappa_f, level)):

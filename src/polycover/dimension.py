@@ -392,7 +392,7 @@ def omega() -> MuMode:
 
 def n_plus_one(n: int) -> MuMode:
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidArgument("n must be nonnegative")
     return MuMode("n_plus_one", n)
 
 

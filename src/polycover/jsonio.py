@@ -29,7 +29,7 @@ from .covers import (
     nerve,
 )
 from .dimension import CRefinement, MuReport, RefinementReport, SearchResult
-from .errors import PolycoverError, SchemaError
+from .errors import InvalidArgument, PolycoverError, SchemaError
 from .realization import (
     BarycentricPoint,
     PolyhedralSpace,
@@ -152,9 +152,10 @@ def point_from_json(space: PolyhedralSpace, data, path: str = "$") -> Barycentri
             int(value.partition("/")[2] or 1) != 0, here, "a denominator must be nonzero"
         )
         parsed[key] = Fraction(value)
+    space.stage(level)
     try:
         return stage_point(space, level, parsed)
-    except ValueError as err:
+    except InvalidArgument as err:
         raise SchemaError(f"{path}.coords", str(err)) from None
 
 
@@ -166,12 +167,14 @@ def star_set_to_json(s: StarSet) -> dict:
 
 
 def _stars_from_json(space: PolyhedralSpace, level: int, obj: dict, path: str) -> StarSet:
-    """The level-`level` star-set named by the `stars` label list of obj."""
+    """The level-`level` star-set named by the `stars` label list of obj.
+    A level that names no stage is refused as a level, before any label."""
     stars = _expect_list(obj.get("stars"), f"{path}.stars")
     names = [_expect_str(v, f"{path}.stars[{i}]") for i, v in enumerate(stars)]
+    space.stage(level)
     try:
         return star_set(space, level, names)
-    except ValueError as err:
+    except InvalidArgument as err:
         raise SchemaError(f"{path}.stars", str(err)) from None
 
 
@@ -217,7 +220,7 @@ def cover_from_json(data, path: str = "$") -> CoverSequence:
         levels.append(family)
     try:
         return cover_sequence(space, levels)
-    except (PolycoverError, ValueError) as err:
+    except PolycoverError as err:
         raise SchemaError(f"{path}.levels", str(err)) from None
 
 
@@ -292,7 +295,7 @@ def canonical_map_from_json(
         image = _pair_from_json(pair, here)
         try:
             v = cs.space.vertex_named(level, name)
-        except ValueError as err:
+        except InvalidArgument as err:
             raise SchemaError(here, str(err)) from None
         images[v] = image
     target = delta_subcomplex(cs, kappa) if kind == DELTA else nerve(cs, kappa)
@@ -371,7 +374,7 @@ def tables_from_json(
         tables.append(table)
     try:
         return carrier_tables(space, level, target, tables, witness)
-    except (PolycoverError, ValueError) as err:
+    except PolycoverError as err:
         raise SchemaError(f"{path}.tables", str(err)) from None
 
 

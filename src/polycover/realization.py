@@ -115,7 +115,7 @@ class PolyhedralSpace:
         try:
             return self.stage_complex(level).by_label[label]
         except KeyError:
-            raise ValueError(f"no vertex labelled {label!r} at level {level}") from None
+            raise InvalidArgument(f"no vertex labelled {label!r} at level {level}") from None
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -238,10 +238,10 @@ def star_set(space: PolyhedralSpace, level: int, cores) -> StarSet:
     for key in cores:
         v = space.vertex_at(level, key)
         if v not in stage.complex.vertices:
-            raise ValueError(f"{key!r} is not a vertex of stage {level}")
+            raise InvalidArgument(f"{key!r} is not a vertex of stage {level}")
         resolved.add(v)
     if not resolved:
-        raise ValueError("a star-set needs at least one core vertex")
+        raise InvalidArgument("a star-set needs at least one core vertex")
     return StarSet(space, level, frozenset(resolved))
 
 
@@ -295,7 +295,7 @@ def star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
     simplex meeting both holds u in one, w in the other, and the face {u, w}.
     """
     if s1.space != s2.space:
-        raise ValueError("star-sets live on different spaces")
+        raise InvalidArgument("star-sets live on different spaces")
     level = max(s1.level, s2.level)
     a = push_star(s1, level).core_vertices
     b = push_star(s2, level).core_vertices

@@ -6,10 +6,11 @@ subdivision stage into a nerve complex (its target), and that complex's
 kind.  Preimages of open vertex stars are then star-sets on the nose,
 and the defining containment condition is decidable with no tolerance.
 The two predicates `is_canonical` and `is_selection` are provably
-equivalent for arbitrary total vertex maps.  Both are decided by
-vertices, from `CoverSequence.holders`: a vertex is sound iff its image
-holds it, and a canonical image is a first holder.  Oracles in `tests/`
-sweep simplices instead.  The skeletal predicates walk carriers.
+equivalent for arbitrary total vertex maps.  Both read one scan of the
+source vertices against `CoverSequence.holders` (`_unsound`): a vertex is
+sound iff it has an image and its image holds it, and a canonical image
+is a first holder.  Oracles in `tests/` sweep simplices instead.  The
+table predicates walk the one-per-level faces of each carrier's hit set.
 
 Carrier mapping tables model lower locally constant set-valued mappings:
 a monotone assignment from working-stage simplices to subcomplexes of a
@@ -30,7 +31,6 @@ from .complexes import (
     compose_maps,
     cone,
     coned,
-    face_closure,
     vlabel,
 )
 from .covers import (
@@ -39,7 +39,7 @@ from .covers import (
     CoverSequence,
     _check_kappa,
     _hits,
-    _one_per_level_facets,
+    _one_per_level_faces,
     cover_sequence,
     delta_subcomplex,
     nerve,
@@ -92,6 +92,19 @@ def _check_elements(cs: CoverSequence, kappa: int, images) -> None:
             raise UnknownCoverElement(f"image {image!r} names no cover element")
 
 
+def _unsound(f: CanonicalMap, cs: CoverSequence, kappa: int | None) -> tuple:
+    """(kappa, the unsound source vertices of f): those with no image, or
+    whose image is not one of their holders among the first kappa levels.
+    Checks kappa and that f lives on a stage of the cover's space first."""
+    kappa = _check_kappa(cs, kappa)
+    _stage_of_map(f, cs)
+    holders = cs.holders(kappa, f.subdivision_level)
+    images = f.map.vertex_images
+    return kappa, [
+        v for v in f.map.source.vertices if images.get(v) not in holders.get(v, ())
+    ]
+
+
 def is_canonical(f: CanonicalMap, cs: CoverSequence, kappa: int | None = None) -> bool:
     """True iff every vertex-star preimage sits inside its cover element.
 
@@ -108,13 +121,11 @@ def why_not_canonical(
     """None when canonical, else a witness locating the first violation:
     the least (level, id) element whose fiber has a vertex outside its core
     (one not held by it), and that fiber's least-labelled such vertex."""
-    kappa = _check_kappa(cs, kappa)
-    _stage_of_map(f, cs)
-    _check_elements(cs, kappa, f.map.vertex_images.values())
-    holders = cs.holders(kappa, f.subdivision_level)
+    kappa, unsound = _unsound(f, cs, kappa)
+    images = f.map.vertex_images
+    _check_elements(cs, kappa, images.values())
     stray = min(
-        ((n, eid, vlabel(v)) for v, (eid, n) in f.map.vertex_images.items()
-         if (eid, n) not in holders.get(v, ())),
+        ((images[v][1], images[v][0], vlabel(v)) for v in unsound if v in images),
         default=None,
     )
     if stray is None:
@@ -142,13 +153,7 @@ def why_not_selection(
     core of v's image; then v is outside that core and {v} is unsound too.
     So the least unsound simplex is the singleton of the least-labelled
     vertex whose image is not one of its holders, if there is one."""
-    kappa = _check_kappa(cs, kappa)
-    _stage_of_map(f, cs)
-    holders = cs.holders(kappa, f.subdivision_level)
-    images = f.map.vertex_images
-    unsound = (
-        v for v in f.map.source.vertices if images.get(v) not in holders.get(v, ())
-    )
+    kappa, unsound = _unsound(f, cs, kappa)
     v = min(unsound, key=vlabel, default=None)
     if v is None:
         return None
@@ -327,7 +332,7 @@ def carrier_tables(
             if not value.simplices:
                 raise EmptyValue(f"table {k} assigns an empty complex")
             if not value.subcomplex_of(target):
-                raise ValueError(f"table {k} value is not a subcomplex of the target")
+                raise InvalidArgument(f"table {k} value is not a subcomplex of the target")
         frozen.append(dict(table))
     # Codimension-one faces suffice: every face inclusion chains through them.
     for k, table in enumerate(frozen):
@@ -335,7 +340,7 @@ def carrier_tables(
             if len(tau) > 1 and not all(
                 table[tau - {v}].subcomplex_of(table[tau]) for v in tau
             ):
-                raise ValueError(
+                raise InvalidArgument(
                     f"table {k} is not carrier-monotone at a face inclusion"
                 )
     if cone_witness is not None:
@@ -420,19 +425,15 @@ def _maps_into_tables(
 ) -> bool:
     """True iff each one-per-level simplex sigma of the first n+1 levels
     maps into table k, for k from |sigma|-1 (if skeletal) or n up to n, at
-    every working carrier tau whose kernel holds sigma: the faces of the
-    one-per-level facets of tau's hit set (`delta_at_carrier`).  Table
-    values are face-closed, so for one table the facets decide; the
-    skeletal walk reads every face, since its tables depend on |sigma|.
-    Carriers with one hit set are walked together, so each sigma's image
-    is taken once per set."""
+    every working carrier tau whose kernel holds sigma: the one-per-level
+    faces of tau's hit set (`delta_at_carrier`).  Carriers with one hit set
+    are walked together, so each sigma's image is taken once per set."""
     holders = cs.holders(n + 1, cs.working_level)
     carriers: dict = {}
     for tau, hit in _hits(cs.working_complex().simplices, holders).items():
         carriers.setdefault(hit, []).append(tau)
     for hit, taus in carriers.items():
-        sigmas = _one_per_level_facets(hit, n + 1)
-        for sigma in face_closure(sigmas) if skeletal else sigmas:
+        for sigma in _one_per_level_faces(hit):
             image = f.image(sigma)
             for k in range(len(sigma) - 1 if skeletal else n, n + 1):
                 if any(image not in phi.tables[k][tau].simplices for tau in taus):
@@ -463,7 +464,7 @@ def extend_skeletal_selection(
                 "the witness vertex is missing from a level-0 table value"
             )
     if not is_skeletal_selection(f, cs, phi):
-        raise ValueError("the input map is not a skeletal selection")
+        raise InvalidArgument("the input map is not a skeletal selection")
     # The witness sits in every level-0 value, so none is empty.
     new_family, _ = vertex_selection(phi)
     extended = cover_sequence(cs.space, list(cs.levels) + [new_family])

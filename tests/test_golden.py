@@ -241,6 +241,8 @@ CASES = {
         ["selection", "--cover", "rem.cover.json", "--map", "negative_level.map.json"],
         None,
     ),
+    # the level is refused as a level, before any label is read at it
+    "cover-negative-level": (["nerve", "--cover", "negative_level.cover.json"], None),
     "mu-driver-c": (["mu-driver", "--mode", "c", "tri2.cover.json"], "mu_report"),
     "mu-driver-finite-c": (
         ["mu-driver", "--mode", "finite-c", "tri2.cover.json"],
@@ -351,8 +353,8 @@ CASES = {
 }
 
 # input document -> schema it conforms to (the skeletal maps have none, and the
-# negative-level map, the empty-simplex tables and the empty label and id
-# break their schemas on purpose; invalid.cover.txt is not JSON at all)
+# negative-level map and cover, the empty-simplex tables and the empty label
+# and id break their schemas on purpose; invalid.cover.txt is not JSON at all)
 INPUT_SCHEMAS = {
     "bad.map.json": "canonical_map",
     "boundary.complex.json": "complex",
@@ -371,6 +373,7 @@ INPUT_SCHEMAS = {
     "empty_simplex.tables.json": None,
     "fine.cover.json": "cover_sequence",
     "fine.delta.map.json": "canonical_map",
+    "negative_level.cover.json": None,
     "negative_level.map.json": None,
     "not_a_refinement.refinement.json": "refinement",
     "overlap.refinement.json": "refinement",

@@ -98,6 +98,24 @@ def seeded_covers(seed: int):
                 yield make(space_fn(), rng, level, rng.randint(1, 3))
 
 
+def per_level_covers(seed: int, top: int = 2):
+    """One cover per ground and level up to `top` whose every level covers
+    on its own, with two or three elements per level: facet hit sets hold
+    several elements of one level, so one-per-level faces are far fewer
+    than the hit sets' subsets."""
+    rng = random.Random(seed)
+    for space_fn, levels in GROUNDS:
+        for level in levels[: top + 1]:
+            yield random_cover(space_fn(), rng, level, rng.randint(2, 3), per_level_cover=True)
+
+
+def several_per_level(cs) -> bool:
+    """True iff some facet hit set holds two elements of one level."""
+    holders = cs.holders(cs.num_levels, cs.working_level)
+    hits = _hits(cs.working_complex().facets, holders).values()
+    return any(len({n for _, n in hit}) < len(hit) for hit in hits)
+
+
 def typed_in_covers(seed: int):
     """Per typed-in base at working levels 0 and 1, an arbitrary and a
     per-level-disjoint cover of four levels, and one of three levels after
@@ -137,7 +155,9 @@ def test_maximal_simplices_matches_pairwise_oracle():
 
 
 def test_nerves_and_one_per_level_complexes_match_oracles():
-    for cs in seeded_covers(7):
+    per_level = list(per_level_covers(8))
+    assert all(several_per_level(cs) for cs in per_level)
+    for cs in itertools.chain(seeded_covers(7), per_level):
         for kappa in range(1, cs.num_levels + 1):
             assert nerve(cs, kappa).simplices == (
                 reference_nerve_simplices(cs, kappa)
@@ -570,8 +590,12 @@ VERDICTS = {("skeletal", True, False), ("skeletal", False, False),
 
 
 def test_skeletal_predicates_match_kernel_sweeps():
-    """One arbitrary and one per-level disjoint cover per ground and level."""
-    covers = itertools.islice(seeded_covers(29), 0, None, 2)
+    """One arbitrary and one per-level disjoint cover per ground and level,
+    then one whose every level covers on its own per ground at levels 0
+    and 1 (the tetrahedron's at level 2 alone would take about 3 s)."""
+    covers = itertools.chain(
+        itertools.islice(seeded_covers(29), 0, None, 2), per_level_covers(30, top=1)
+    )
     assert VERDICTS <= _skeletal_verdicts(covers, random.Random(31))
 
 

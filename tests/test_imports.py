@@ -1,4 +1,5 @@
-"""Every name that `src/`, `tests/` or `demos/` imports is used.
+"""Every name that `src/`, `tests/` or `demos/` imports is used, and the
+command line imports nothing beyond the standard library.
 
 An AST scan: a module's imported names must each appear as a name or as
 the base of an attribute somewhere in the module.  Re-exports from a
@@ -6,6 +7,9 @@ package's `__init__.py` are exempt, and so are `__future__` imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +44,24 @@ def test_no_unused_imports():
             for line, name in unused_imports(path.read_text(encoding="utf-8")):
                 offenders.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert offenders == []
+
+
+def test_cli_imports_only_the_standard_library():
+    """Importing the command line loads no third-party module: set-up time
+    holds nothing but the standard library and the package itself."""
+    script = (
+        "import sys; before = set(sys.modules); import polycover.cli; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = run.stdout.split()
+    assert "polycover.cli" in loaded
+    foreign = [
+        name for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names and name != "polycover"
+        and not name.startswith("polycover.")
+    ]
+    assert foreign == []

@@ -23,8 +23,9 @@ from polycover import (
 from polycover import jsonio
 from polycover.cli import main
 from polycover.covers import FULL_NERVE
-from polycover.errors import SchemaError
+from polycover.errors import InvalidArgument, PolycoverError, SchemaError
 from polycover.fixtures import edge_space, rem_cover, tri_space, vertex_star_cover
+from polycover.realization import PolyhedralSpace
 from polycover.selections import carrier_tables
 from polycover.complexes import coned
 
@@ -205,6 +206,52 @@ class TestSchemaErrors:
         doc = jsonio.tables_to_json(carrier_tables(e, 0, target, [table]))
         with pytest.raises(RuntimeError, match="internal bug"):
             jsonio.tables_from_json(e, doc)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda: jsonio.point_from_json(edge_space(), {"level": -1, "coords": {"a": "1"}}),
+            lambda: jsonio.star_set_from_json(edge_space(), {"level": -1, "stars": ["a"]}),
+            lambda: jsonio.refinement_from_json(rem_cover(), {
+                "kappa": 1, "families": [[{"id": "A", "level": -1, "stars": ["a"]}]],
+            }),
+        ],
+        ids=["point", "star_set", "refinement"],
+    )
+    def test_a_negative_level_is_refused_as_a_level(self, read):
+        """Not as an unknown label: the level is checked before any label."""
+        with pytest.raises(InvalidArgument, match="^stage levels are nonnegative$"):
+            read()
+
+    def test_internal_value_errors_are_not_schema_errors(self, monkeypatch):
+        """Each catch converts only the refusal it reads, so a plain
+        ValueError from inside the library surfaces as itself."""
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        e = edge_space()
+        target = coned(validate_complex([{"t:a", "t:b"}]), "z")
+        table = {tau: target for tau in e.stage_complex(0).simplices}
+        tables = jsonio.tables_to_json(carrier_tables(e, 0, target, [table]))
+        cover = jsonio.cover_to_json(rem_cover())
+        image = {"subdivision_level": 1, "target_kind": "full_nerve",
+                 "vertex_images": {"b(a)": ["P", 0]}}
+        reads = [
+            (jsonio, "cover_sequence", lambda: jsonio.cover_from_json(cover)),
+            (jsonio, "carrier_tables", lambda: jsonio.tables_from_json(e, tables)),
+            (jsonio, "star_set",
+             lambda: jsonio.star_set_from_json(e, {"level": 0, "stars": ["a"]})),
+            (jsonio, "stage_point",
+             lambda: jsonio.point_from_json(e, {"level": 0, "coords": {"a": "1"}})),
+            (PolyhedralSpace, "vertex_named",
+             lambda: jsonio.canonical_map_from_json(rem_cover(), image)),
+        ]
+        for owner, name, read in reads:
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, broken)
+                with pytest.raises(ValueError, match="internal bug") as err:
+                    read()
+            assert not isinstance(err.value, PolycoverError), name
 
 
 @pytest.fixture()

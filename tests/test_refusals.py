@@ -2,11 +2,14 @@
 with its own message, checked here word for word."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
 from polycover import (
     BarycentricPoint,
+    CanonicalMap,
+    CarrierMappingSequence,
     SimplicialMap,
     bootstrap_skeletal_selection,
     carrier,
@@ -18,13 +21,33 @@ from polycover import (
     full_star,
     is_setvalued_selection,
     is_skeletal_selection,
+    nerve,
+    push_point,
+    realize_map,
     refinement_map,
+    skeleton,
     stage_point,
     star_relation,
     star_set,
     validate_complex,
+    vertex_selection,
+    why_not_canonical,
+    why_not_selection,
 )
-from polycover.errors import ArityError, EmptyPrefix, InvalidPoint, SkeletonViolation
+from polycover import jsonio
+from polycover.complexes import EMPTY_COMPLEX
+from polycover.covers import FULL_NERVE
+from polycover.errors import (
+    ArityError,
+    EmptyPrefix,
+    EmptyValue,
+    IncompleteMap,
+    InvalidArgument,
+    InvalidPoint,
+    LevelMismatch,
+    SchemaError,
+    SkeletonViolation,
+)
 from polycover.fixtures import edge_space, tri_space, vertex_star_cover
 
 from test_selections import edge_phi
@@ -68,14 +91,14 @@ class TestSkeletalPredicates:
         _, phi = edge_phi()
         cs, f = bootstrap_skeletal_selection(phi)
         bad = SimplicialMap(f.source, f.target, {**f.vertex_images, ("a", 0): "t:b"})
-        with refused(ValueError, "the input map is not a skeletal selection"):
+        with refused(InvalidArgument, "the input map is not a skeletal selection"):
             extend_skeletal_selection(bad, cs, phi)
 
     def test_table_value_outside_the_target(self):
         e = edge_space()
         target = validate_complex([{"y1", "y2"}])
         table = {tau: validate_complex([{"y9"}]) for tau in e.stage_complex(0).simplices}
-        with refused(ValueError, "table 0 value is not a subcomplex of the target"):
+        with refused(InvalidArgument, "table 0 value is not a subcomplex of the target"):
             carrier_tables(e, 0, target, [table])
 
 
@@ -85,36 +108,36 @@ class TestCovers:
             cover_sequence(edge_space(), [])
 
     def test_star_set_of_another_space(self):
-        with refused(ValueError, "star-set belongs to a different space"):
+        with refused(InvalidArgument, "star-set belongs to a different space"):
             cover_sequence(edge_space(), [[("W", full_star(tri_space(), 0))]])
 
     def test_id_that_is_not_a_string(self):
         e = edge_space()
-        with refused(ValueError, "element ids must be strings"):
+        with refused(InvalidArgument, "element ids must be strings"):
             cover_sequence(e, [[(7, full_star(e, 0))]])
 
     def test_refinement_map_across_spaces(self):
         fine, coarse = vertex_star_cover(edge_space()), vertex_star_cover(tri_space())
-        with refused(ValueError, "cover sequences live on different spaces"):
+        with refused(InvalidArgument, "cover sequences live on different spaces"):
             refinement_map(fine, coarse)
 
     def test_refinement_map_between_prefixes_of_different_lengths(self):
         e = edge_space()
-        with refused(ValueError, "prefix lengths differ"):
+        with refused(InvalidArgument, "prefix lengths differ"):
             refinement_map(vertex_star_cover(e, 2), vertex_star_cover(e, 3))
 
 
 class TestStarSetsAndCones:
     def test_star_set_key_that_is_no_stage_vertex(self):
-        with refused(ValueError, "7 is not a vertex of stage 0"):
+        with refused(InvalidArgument, "7 is not a vertex of stage 0"):
             star_set(edge_space(), 0, [7])
 
     def test_star_set_with_no_core(self):
-        with refused(ValueError, "a star-set needs at least one core vertex"):
+        with refused(InvalidArgument, "a star-set needs at least one core vertex"):
             star_set(edge_space(), 0, [])
 
     def test_star_relation_across_spaces(self):
-        with refused(ValueError, "star-sets live on different spaces"):
+        with refused(InvalidArgument, "star-sets live on different spaces"):
             star_relation(full_star(edge_space(), 0), full_star(tri_space(), 0))
 
     def test_cone_extension_with_a_short_chain(self):
@@ -134,3 +157,64 @@ class TestCoordinates:
         p = BarycentricPoint(0, {"a": "1/0"}, tri_space().stage_complex(0))
         with refused(InvalidPoint, "coordinate '1/0' is not an exact rational"):
             carrier(p)
+
+    def test_a_negative_coordinate(self):
+        p = BarycentricPoint(0, {"a": Fraction(-1, 2), "b": Fraction(3, 2)},
+                             tri_space().stage_complex(0))
+        with refused(InvalidPoint, "negative coordinate at a"):
+            carrier(p)
+
+    def test_pushing_a_point_that_lives_on_no_stage(self):
+        p = BarycentricPoint(0, {"a": Fraction(1)}, validate_complex([{"a"}]))
+        with refused(InvalidPoint, "point does not live on a stage of this space"):
+            push_point(tri_space(), p, 1)
+
+    def test_an_unknown_label_in_a_point_document(self):
+        doc = {"level": 0, "coords": {"zz": "1"}}
+        with refused(SchemaError, "$.coords: no vertex labelled 'zz' at level 0"):
+            jsonio.point_from_json(edge_space(), doc)
+
+
+EDGE = validate_complex([{"a", "b"}])
+HALVES = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+
+
+class TestRealizeMap:
+    def test_a_point_off_the_source(self):
+        g = SimplicialMap(validate_complex([{"a"}]), validate_complex([{"y"}]), {"a": "y"})
+        with refused(InvalidPoint, "point does not lie on the source complex"):
+            realize_map(g, BarycentricPoint(0, HALVES, EDGE))
+
+    def test_a_vertex_with_no_image(self):
+        g = SimplicialMap(EDGE, validate_complex([{"y"}]), {"a": "y"})
+        with refused(IncompleteMap, "no image for vertex b"):
+            realize_map(g, BarycentricPoint(0, HALVES, EDGE))
+
+    def test_a_zero_coordinate_needs_no_image(self):
+        target = validate_complex([{"y"}])
+        g = SimplicialMap(EDGE, target, {"a": "y"})
+        p = BarycentricPoint(0, {"a": Fraction(1), "b": Fraction(0)}, EDGE)
+        assert realize_map(g, p) == BarycentricPoint(0, {"y": Fraction(1)}, target)
+
+
+class TestMapsAndTables:
+    def test_a_map_source_that_is_not_a_stage(self):
+        cs = vertex_star_cover(edge_space(), 1)
+        source = validate_complex([{"a"}])
+        f = CanonicalMap(0, SimplicialMap(source, nerve(cs), {}), FULL_NERVE)
+        for why_not in (why_not_canonical, why_not_selection):
+            with refused(LevelMismatch, "map source is not a stage of the cover's space"):
+                why_not(f, cs)
+
+    def test_an_empty_value_at_a_singleton_carrier(self):
+        e = edge_space()
+        target = validate_complex([{"y"}])
+        table = {tau: target for tau in e.stage_complex(0).simplices}
+        table[frozenset(["a"])] = EMPTY_COMPLEX
+        phi = CarrierMappingSequence(e, 0, target, (table,))
+        with refused(EmptyValue, "empty table value at a singleton carrier"):
+            vertex_selection(phi)
+
+    def test_the_negative_skeleton_is_the_empty_complex(self):
+        assert skeleton(EDGE, -1) == EMPTY_COMPLEX
+        assert EMPTY_COMPLEX.dim == -1
