@@ -2,15 +2,19 @@
 barycentric subdivision, and simplicial maps.
 
 Vertices are opaque hashable ids.  Simplices are nonempty frozensets of
-vertex ids, and a complex stores the full face-closed family; its facets
-(the maximal simplices) are computed once, on first use.  A map is
-simplicial iff it sends every source facet to a target simplex, since the
-target is face-closed and a face's image lies inside its facet's.
+vertex ids.  A complex is its facets, the maximal simplices: it keeps the
+maximal sets of the family it is built from, so every builder hands over
+facets (a stage its flags, a nerve its hit sets, a one-per-level complex
+its products), and the face-closed family is expanded only when
+`simplices` is read.  Membership, vertices, edges, dimension and
+inclusion are read off the facets.  A map is simplicial iff it sends
+every source facet to a target simplex, since the target is face-closed
+and a face's image lies inside its facet's.
 Subdivision vertices are `Barycenter` tokens naming the simplex they
 subdivide, their carrier `b.of`, so stages are reproducible and maps
 across stages are well-defined.  A token is the 1-tuple of its simplex,
 hashed and compared in C by value.  A tower makes each token once, one per
-parent simplex, and every chain shares it; a token's label is built once,
+parent simplex, and every flag shares it; a token's label is built once,
 from its members' labels, and kept on it.
 """
 
@@ -68,38 +72,44 @@ def simplex_label(s: Simplex) -> str:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A face-closed family of nonempty finite vertex sets.
+    """A finite simplicial complex, stored as its facets: the maximal sets
+    of the family it is built from.
 
-    The empty complex (no simplices at all) is a legal value; it arises as
-    the carrier-indexed complex of an uncovered carrier.  `validate_complex`
-    is the checked entry point for raw user input.
+    Any family of nonempty vertex sets builds one, its faces included or
+    not, so equality and hashing compare facets.  The faces are expanded
+    into `simplices` only when read; `s in c` asks whether s lies in some
+    facet.  The empty complex (no simplices at all) is a legal value; it
+    arises as the carrier-indexed complex of an uncovered carrier.
+    `validate_complex` is the checked entry point for raw user input.
     """
 
-    simplices: frozenset
+    facets: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "facets", _maximal(self.facets))
+
+    @cached_property
+    def simplices(self) -> frozenset:
+        """Every face of every facet."""
+        return face_closure(self.facets)
 
     @cached_property
     def vertices(self) -> frozenset:
-        out = set()
-        for s in self.simplices:
-            out.update(s)
-        return frozenset(out)
+        return frozenset().union(*self.facets)
 
     @cached_property
-    def facets(self) -> frozenset:
-        """The simplices contained in no other simplex.  The complex is
-        face-closed, so a simplex lies in a larger one iff it is some
-        simplex minus one vertex."""
-        faces = {t - {v} for t in self.simplices for v in t}
-        return self.simplices - faces
+    def _facets_at(self) -> dict:
+        """Each vertex -> the facets that contain it."""
+        out: dict = {}
+        for f in self.facets:
+            for v in f:
+                out.setdefault(v, []).append(f)
+        return out
 
     @cached_property
     def neighbours(self) -> dict:
         """Each vertex -> the vertices joined to it by an edge."""
-        out: dict = {v: set() for v in self.vertices}
-        for u, w in (s for s in self.simplices if len(s) == 2):
-            out[u].add(w)
-            out[w].add(u)
-        return out
+        return {v: set().union(*fs) - {v} for v, fs in self._facets_at.items()}
 
     @cached_property
     def stars(self) -> dict:
@@ -123,21 +133,42 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         """Max simplex cardinality minus one; -1 for the empty complex."""
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return max(map(len, self.facets), default=0) - 1
 
     def __contains__(self, s) -> bool:
-        return frozenset(s) in self.simplices
+        """True iff s is a simplex: a facet, or nonempty and inside a facet.
+        Such a facet holds every vertex of s, so the facets at any one
+        vertex of s decide."""
+        s = frozenset(s)
+        if s in self.facets:
+            return True
+        return bool(s) and any(s < f for f in self._facets_at.get(next(iter(s)), ()))
 
     def subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self.simplices <= other.simplices
+        return all(f in other for f in self.facets)
 
     def sorted_simplices(self) -> list:
         return sorted(self.simplices, key=simplex_key)
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self.simplices)} simplices, dim={self.dim})"
+
+
+def _maximal(sets) -> frozenset:
+    """The sets of the family inside no other.  Larger sets are kept first,
+    and a set is dropped when a kept one holds it; such a set holds each
+    of its vertices, so the kept sets at any one vertex decide.  A family
+    whose sets all have one size is its own maximal sets."""
+    family = frozenset(sets)
+    if len(set(map(len, family))) <= 1:
+        return family
+    kept, at = [], {}
+    for s in sorted(family, key=len, reverse=True):
+        if not any(s < f for f in at.get(next(iter(s)), ())):
+            kept.append(s)
+            for v in s:
+                at.setdefault(v, []).append(s)
+    return frozenset(kept)
 
 
 EMPTY_COMPLEX = SimplicialComplex(frozenset())
@@ -155,14 +186,15 @@ def face_closure(sets: Iterable[Iterable[Vertex]]) -> frozenset:
 
 
 def validate_complex(raw: Iterable[Iterable[Vertex]]) -> SimplicialComplex:
-    """Face closure of the given vertex sets; idempotent on closed input."""
+    """The complex of the given vertex sets and their faces; idempotent on
+    closed input."""
     members = [frozenset(s) for s in raw]
     if not members:
         raise InvalidComplex("a complex needs at least one simplex")
     for s in members:
         if not s:
             raise InvalidComplex("simplices must be nonempty vertex sets")
-    return SimplicialComplex(face_closure(members))
+    return SimplicialComplex(members)
 
 
 def skeleton(c: SimplicialComplex, k: int) -> SimplicialComplex:
@@ -173,13 +205,10 @@ def skeleton(c: SimplicialComplex, k: int) -> SimplicialComplex:
 
 
 def coned(c: SimplicialComplex, v: Vertex) -> SimplicialComplex:
-    """Cone formula without the freshness check: c with every simplex
-    extended by v, plus {v}.  Idempotent when v is already an apex of c."""
-    out = set(c.simplices)
-    out.add(frozenset([v]))
-    for s in c.simplices:
-        out.add(s | {v})
-    return SimplicialComplex(frozenset(out))
+    """Cone formula without the freshness check: c with every facet
+    extended by v, or {v} over the empty complex.  Idempotent when v is
+    already an apex of c."""
+    return SimplicialComplex([f | {v} for f in c.facets] or [frozenset([v])])
 
 
 def cone(c: SimplicialComplex, v: Vertex) -> SimplicialComplex:
@@ -231,7 +260,7 @@ def check_simplicial_map(m: SimplicialMap) -> bool:
     any facet holding it, so the source facets decide.
     """
     check_complete(m)
-    return all(m.image(s) in m.target.simplices for s in m.source.facets)
+    return all(m.image(s) in m.target for s in m.source.facets)
 
 
 def compose_maps(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
@@ -252,7 +281,8 @@ class SubdivisionStage:
 
     Level-m vertices are Barycenter tokens over level-(m-1) simplices, each
     naming its carrier as `b.of`; level-m simplices are the chains of
-    level-(m-1) simplices.  Base vertices subdivide nothing.
+    level-(m-1) simplices, and its facets the full flags of level-(m-1)
+    facets.  Base vertices subdivide nothing.
     """
 
     level: int
@@ -267,18 +297,14 @@ def subdivide(stage: SubdivisionStage) -> SubdivisionStage:
     """The next barycentric subdivision stage.
 
     New simplices are exactly the chains s0 ⊂ s1 ⊂ … ⊂ sk of current-stage
-    simplices, each chain member replaced by its Barycenter token.
+    simplices, each chain member replaced by its Barycenter token.  The
+    maximal chains are the full flags of the facets: one per ordering of a
+    facet's vertices, made of the barycenters of its prefixes.
     """
     tokens = stage.complex.barycenters
-    chains_ending: dict = {}
-    for s in sorted(tokens, key=len):
-        b = tokens[s]
-        ending = [(b,)]
-        for r in range(1, len(s)):
-            for sub in itertools.combinations(s, r):
-                ending.extend(ch + (b,) for ch in chains_ending[frozenset(sub)])
-        chains_ending[s] = ending
-
-    chains = (ch for ending in chains_ending.values() for ch in ending)
-    new_simplices = frozenset(map(frozenset, chains))
-    return SubdivisionStage(stage.level + 1, SimplicialComplex(new_simplices))
+    flags = [
+        frozenset(tokens[frozenset(order[:i])] for i in range(1, len(order) + 1))
+        for f in stage.complex.facets
+        for order in itertools.permutations(f)
+    ]
+    return SubdivisionStage(stage.level + 1, SimplicialComplex(flags))

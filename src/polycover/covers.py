@@ -15,10 +15,11 @@ The kernel of a vertex set is nonempty iff the set lies in the hit set of
 some working-stage simplex, the union of its vertices' holders.  A face's
 hit set lies inside that of any facet holding it, so nerves and
 one-per-level complexes, plain complexes, are built from the facets' hit
-sets alone, once per cover, kind and prefix (`CoverSequence.nerves`).
-One-per-level complexes are joins: the one-per-level subsets of a hit set
-are the faces of the join of its per-level parts, enumerated once each by
-adding one level's part at a time (`_one_per_level_faces`).
+sets alone, once per cover, kind and prefix (`CoverSequence.nerves`):
+a nerve's facets are the maximal facet hit sets.  One-per-level complexes
+are joins: the one-per-level subsets of a hit set are the faces of the
+join of its per-level parts, whose facets are the products taking one
+element from each level the hit set meets (`_products`).
 Containment reads the same index: at one level, the elements containing
 a star-set are those holding every vertex of its core
 (`CoverSequence.containing`).  These caches, and the families pushed to
@@ -28,6 +29,7 @@ place, `uncovered_vertex`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -230,22 +232,17 @@ def _hits(simplices, holders: dict) -> dict:
 
 
 def _facet_hit_sets(cs: CoverSequence, kappa: int) -> set:
-    """The distinct hit sets of the working stage's facets within the first
-    kappa levels: every hit set of the stage lies inside one of them."""
+    """The distinct nonempty hit sets of the working stage's facets within
+    the first kappa levels: every hit set of the stage lies inside one."""
     holders = cs.holders(kappa, cs.working_level)
-    return set(_hits(cs.working_complex().facets, holders).values())
+    return set(_hits(cs.working_complex().facets, holders).values()) - {frozenset()}
 
 
-def _one_per_level_faces(hit) -> list:
-    """Each one-per-level subset of hit, once.  Those subsets are the faces
-    of the join of hit's per-level parts: starting from the empty face,
-    each level's part adds each of its elements to every face found so
-    far, and the empty face is dropped at the end."""
-    faces = [frozenset()]
-    for n in {n for _, n in hit}:
-        part = [e for e in hit if e[1] == n]
-        faces += [face | {e} for face in faces for e in part]
-    return faces[1:]
+def _products(hit) -> list:
+    """The facets of the join of hit's per-level parts: each set taking one
+    element from every level that hit meets (none for an empty hit)."""
+    parts = [[e for e in hit if e[1] == n] for n in {n for _, n in hit}]
+    return [frozenset(p) for p in itertools.product(*parts)] if parts else []
 
 
 def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> SimplicialComplex:
@@ -255,12 +252,9 @@ def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> Simplicia
     built = cs.nerves.get((kind, kappa))
     if built is None:
         hits = _facet_hit_sets(cs, kappa)
-        if kind == FULL_NERVE:
-            simplices = face_closure(hits)
-        else:
-            simplices = frozenset(f for h in hits for f in _one_per_level_faces(h))
-        built = SimplicialComplex(simplices)
-        cs.nerves[kind, kappa] = built
+        if kind == DELTA:
+            hits = [p for h in hits for p in _products(h)]
+        built = cs.nerves[kind, kappa] = SimplicialComplex(hits)
     return built
 
 
@@ -289,10 +283,10 @@ def delta_at_carrier(
     """
     kappa = _check_kappa(cs, kappa)
     tau = frozenset(tau)
-    if tau not in cs.working_complex().simplices:
+    if tau not in cs.working_complex():
         raise UnknownCarrier("tau is not a simplex of the working stage")
     hit = _hits([tau], cs.holders(kappa, cs.working_level))[tau]
-    return SimplicialComplex(frozenset(_one_per_level_faces(hit)))
+    return SimplicialComplex(_products(hit))
 
 
 def refinement_map(

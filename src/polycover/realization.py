@@ -105,10 +105,12 @@ class PolyhedralSpace:
         return self.stage(level).complex
 
     def vertex_at(self, level: int, key):
-        """The stage vertex with this id or label; other keys pass through."""
-        if key in self.stage(level).complex.vertices or not isinstance(key, str):
+        """The stage vertex with this id, or else with this label."""
+        if key in self.stage_complex(level).vertices:
             return key
-        return self.vertex_named(level, key)
+        if isinstance(key, str):
+            return self.vertex_named(level, key)
+        raise InvalidArgument(f"{key!r} is not a vertex of stage {level}")
 
     def vertex_named(self, level: int, label: str):
         """Resolve a printable vertex label at the given stage."""
@@ -174,7 +176,7 @@ def carrier(p: BarycentricPoint) -> Simplex:
     if total != 1:
         raise InvalidPoint(f"coordinates sum to {total}, expected 1")
     s = frozenset(support)
-    if s not in p.complex.simplices:
+    if s not in p.complex:
         raise InvalidPoint("support is not a simplex of the underlying complex")
     return s
 
@@ -233,13 +235,8 @@ class StarSet:
 
 def star_set(space: PolyhedralSpace, level: int, cores) -> StarSet:
     """Build a star-set; core entries may be vertex ids or labels."""
-    stage = space.stage(level)
-    resolved = set()
-    for key in cores:
-        v = space.vertex_at(level, key)
-        if v not in stage.complex.vertices:
-            raise InvalidArgument(f"{key!r} is not a vertex of stage {level}")
-        resolved.add(v)
+    space.stage(level)
+    resolved = {space.vertex_at(level, key) for key in cores}
     if not resolved:
         raise InvalidArgument("a star-set needs at least one core vertex")
     return StarSet(space, level, frozenset(resolved))
@@ -355,7 +352,7 @@ def star_subset(s1: StarSet, s2: StarSet) -> bool:
 def realize_map(g: SimplicialMap, p: BarycentricPoint) -> BarycentricPoint:
     """Apply the affine realisation of g to p: sum coordinates over fibers."""
     support = carrier(p)
-    if support not in g.source.simplices:
+    if support not in g.source:
         raise InvalidPoint("point does not lie on the source complex")
     coords: dict = {}
     for v, c in p.coords.items():

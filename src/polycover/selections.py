@@ -10,7 +10,8 @@ equivalent for arbitrary total vertex maps.  Both read one scan of the
 source vertices against `CoverSequence.holders` (`_unsound`): a vertex is
 sound iff it has an image and its image holds it, and a canonical image
 is a first holder.  Oracles in `tests/` sweep simplices instead.  The
-table predicates walk the one-per-level faces of each carrier's hit set.
+table predicates walk the one-per-level faces of each carrier's hit set,
+the faces of its products.
 
 Carrier mapping tables model lower locally constant set-valued mappings:
 a monotone assignment from working-stage simplices to subcomplexes of a
@@ -31,6 +32,7 @@ from .complexes import (
     compose_maps,
     cone,
     coned,
+    face_closure,
     vlabel,
 )
 from .covers import (
@@ -39,7 +41,7 @@ from .covers import (
     CoverSequence,
     _check_kappa,
     _hits,
-    _one_per_level_faces,
+    _products,
     cover_sequence,
     delta_subcomplex,
     nerve,
@@ -270,7 +272,7 @@ def cone_extend(
         raise SkeletonViolation("the chain needs at least two members")
     n = len(chain) - 2
     target = g.target
-    if frozenset([q]) not in target.simplices:
+    if [q] not in target:
         raise InvalidArgument(f"witness {vlabel(q)} is not a vertex of the target")
     for i, s_k in enumerate(chain):
         if not s_k.subcomplex_of(target):
@@ -282,7 +284,7 @@ def cone_extend(
     check_complete(g)
     for k in range(n + 1):
         for s in g.source.sorted_simplices():
-            if len(s) <= k + 1 and g.image(s) not in chain[k].simplices:
+            if len(s) <= k + 1 and g.image(s) not in chain[k]:
                 raise SkeletonViolation(
                     f"image of {sorted(vlabel(u) for u in s)} is outside chain member {k}"
                 )
@@ -329,7 +331,7 @@ def carrier_tables(
             if tau not in table:
                 raise ArityError(f"table {k} misses a value for some carrier")
         for tau, value in table.items():
-            if not value.simplices:
+            if not value.facets:
                 raise EmptyValue(f"table {k} assigns an empty complex")
             if not value.subcomplex_of(target):
                 raise InvalidArgument(f"table {k} value is not a subcomplex of the target")
@@ -344,7 +346,7 @@ def carrier_tables(
                     f"table {k} is not carrier-monotone at a face inclusion"
                 )
     if cone_witness is not None:
-        if frozenset([cone_witness]) not in target.simplices:
+        if [cone_witness] not in target:
             raise NoConeWitness("the witness is not a vertex of the target")
         for k in range(len(frozen) - 1):
             for tau in stage.simplices:
@@ -372,7 +374,7 @@ def vertex_selection(phi: CarrierMappingSequence):
     vertex_map = {}
     for v in sorted(stage.vertices, key=vlabel):
         value = table[frozenset([v])]
-        if not value.simplices:
+        if not value.facets:
             raise EmptyValue("empty table value at a singleton carrier")
         eid = vlabel(v)
         family.append((eid, StarSet(phi.space, phi.level, frozenset([v]))))
@@ -426,17 +428,18 @@ def _maps_into_tables(
     """True iff each one-per-level simplex sigma of the first n+1 levels
     maps into table k, for k from |sigma|-1 (if skeletal) or n up to n, at
     every working carrier tau whose kernel holds sigma: the one-per-level
-    faces of tau's hit set (`delta_at_carrier`).  Carriers with one hit set
-    are walked together, so each sigma's image is taken once per set."""
+    faces of tau's hit set (`delta_at_carrier`), the faces of its products.
+    Carriers with one hit set are walked together, so each sigma's image
+    is taken once per set."""
     holders = cs.holders(n + 1, cs.working_level)
     carriers: dict = {}
     for tau, hit in _hits(cs.working_complex().simplices, holders).items():
         carriers.setdefault(hit, []).append(tau)
     for hit, taus in carriers.items():
-        for sigma in _one_per_level_faces(hit):
+        for sigma in face_closure(_products(hit)):
             image = f.image(sigma)
             for k in range(len(sigma) - 1 if skeletal else n, n + 1):
-                if any(image not in phi.tables[k][tau].simplices for tau in taus):
+                if any(image not in phi.tables[k][tau] for tau in taus):
                     return False
     return True
 
@@ -459,7 +462,7 @@ def extend_skeletal_selection(
     q = phi.cone_witness
     stage = phi.space.stage_complex(phi.level)
     for tau in stage.simplices:
-        if frozenset([q]) not in phi.tables[0][tau].simplices:
+        if [q] not in phi.tables[0][tau]:
             raise NoConeWitness(
                 "the witness vertex is missing from a level-0 table value"
             )

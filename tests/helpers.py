@@ -363,12 +363,36 @@ def reference_refinement_map(fine, coarse, kappa=None) -> SimplicialMap:
 def reference_maximal_simplices(c: SimplicialComplex) -> list:
     """Maximal simplices by comparing each simplex with every larger one
     kept so far, in canonical order."""
-    by_size = sorted(c.simplices, key=len, reverse=True)
+    return reference_maximal_sets(c.simplices)
+
+
+def reference_maximal_sets(sets) -> list:
+    """The sets inside no other set of the family, found by comparing each
+    with every larger one kept so far, in canonical order."""
+    by_size = sorted(set(sets), key=len, reverse=True)
     out: list = []
     for s in by_size:
         if not any(s < t for t in out):
             out.append(s)
     return sorted(out, key=simplex_key)
+
+
+def reference_stage_facets(parent: SimplicialComplex) -> frozenset:
+    """The facets of the subdivision of `parent`: its maximal chains, as
+    sets of Barycenter tokens.  Chains grow from the vertices one simplex
+    at a time, each next simplex one vertex larger, and a chain is maximal
+    when it ends at a maximal simplex of the parent."""
+    by_size: dict = {}
+    for s in parent.simplices:
+        by_size.setdefault(len(s), []).append(s)
+    tops = set(reference_maximal_simplices(parent))
+    chains = [(s,) for s in by_size.get(1, [])]
+    full = []
+    while chains:
+        full += [ch for ch in chains if ch[-1] in tops]
+        chains = [ch + (t,) for ch in chains
+                  for t in by_size.get(len(ch) + 1, []) if ch[-1] < t]
+    return frozenset(frozenset(map(Barycenter, ch)) for ch in full)
 
 
 def reference_hit(cs, kappa: int, tau) -> frozenset:

@@ -25,6 +25,7 @@ class Mutant:
     guards: str
 
 
+COMPLEXES = "src/polycover/complexes.py"
 COVERS = "src/polycover/covers.py"
 SELECTIONS = "src/polycover/selections.py"
 JSONIO = "src/polycover/jsonio.py"
@@ -32,32 +33,86 @@ REALIZATION = "src/polycover/realization.py"
 DIMENSION = "src/polycover/dimension.py"
 
 MUTANTS = [
-    # -- one-per-level faces as a join ------------------------------------
+    # -- a complex is its facets ------------------------------------------
+    Mutant(
+        COMPLEXES,
+        "        if not any(s < f for f in at.get(next(iter(s)), ())):\n",
+        "        if True:\n",
+        ("tests/test_facets.py::test_a_complex_is_the_maximal_sets_of_its_family",
+         "tests/test_complexes.py::TestSkeleton::test_high_k_is_identity"),
+        "a complex is its facets",
+        "the constructor drops a set inside a larger one",
+    ),
+    Mutant(
+        COMPLEXES,
+        "    if len(set(map(len, family))) <= 1:\n",
+        "    if len(set(map(len, family))) <= 2:\n",
+        ("tests/test_facets.py::test_a_complex_is_the_maximal_sets_of_its_family",
+         "tests/test_complexes.py::TestSkeleton::test_high_k_is_identity"),
+        "a complex is its facets",
+        "only a family of one size is kept as it is",
+    ),
+    Mutant(
+        COMPLEXES,
+        "any(s < f for f in self._facets_at",
+        "any(s == f for f in self._facets_at",
+        ("tests/test_facets.py::test_a_complex_is_the_maximal_sets_of_its_family",
+         "tests/test_acceptance.py::test_criterion_7_cone_extension_suite"),
+        "a complex is its facets",
+        "membership holds inside a facet, not only at one",
+    ),
+    Mutant(
+        COMPLEXES,
+        "for i in range(1, len(order) + 1))",
+        "for i in range(1, len(order)))",
+        ("tests/test_facets.py::test_stage_facets_are_the_maximal_chains_below",
+         "tests/test_acceptance.py::test_criterion_1_disjoint_levels_nerve_equality"),
+        "a complex is its facets",
+        "a flag ends at its facet's own barycenter",
+    ),
     Mutant(
         COVERS,
-        "        part = [e for e in hit if e[1] == n]\n",
-        "        part = list(hit)\n",
+        "[e for e in hit if e[1] == n]",
+        "list(hit)",
         ("tests/test_covers.py::TestDeltaSubcomplex::test_same_level_pair_excluded",
          "tests/test_hit_index.py::test_nerves_and_one_per_level_complexes_match_oracles"),
-        "one-per-level complex as a join",
-        "each level's part holds only that level's elements",
+        "a complex is its facets",
+        "a product's parts are split by level",
     ),
     Mutant(
         COVERS,
-        "        faces += [face | {e} for face in faces for e in part]\n",
-        "        faces += [frozenset([e]) for e in part]\n",
-        ("tests/test_covers.py::TestDeltaAtCarrier::test_midpoint_carrier_sees_cross_level_pair",
-         "tests/test_acceptance.py::test_criterion_1_disjoint_levels_nerve_equality"),
-        "one-per-level complex as a join",
-        "each part joins every face found so far",
+        "itertools.product(*parts)]",
+        "itertools.product(*parts[:1])]",
+        ("tests/test_acceptance.py::test_criterion_1_disjoint_levels_nerve_equality",
+         "tests/test_hit_index.py::test_nerves_and_one_per_level_complexes_match_oracles"),
+        "a complex is its facets",
+        "a product takes one element of every level the hit set meets",
     ),
     Mutant(
         COVERS,
-        "    return faces[1:]\n",
-        "    return faces\n",
-        ("tests/test_covers.py::TestDeltaSubcomplex::test_delta_included_in_nerve",),
-        "one-per-level complex as a join",
-        "the empty face is dropped",
+        "for p in itertools.product(*parts)] if parts else []",
+        "for p in itertools.product(*parts)]",
+        ("tests/test_covers.py::TestDeltaAtCarrier::"
+         "test_a_carrier_the_prefix_misses_gets_the_empty_complex",),
+        "a complex is its facets",
+        "an empty hit set has no products",
+    ),
+    Mutant(
+        COVERS,
+        " - {frozenset()}\n",
+        "\n",
+        ("tests/test_hit_index.py::test_nerves_and_one_per_level_complexes_match_oracles",),
+        "a complex is its facets",
+        "an empty facet hit set is no nerve facet",
+    ),
+    Mutant(
+        REALIZATION,
+        '        raise InvalidArgument(f"{key!r} is not a vertex of stage {level}")\n',
+        "        return key\n",
+        ("tests/test_refusals.py::TestCoordinates::test_a_key_that_is_no_stage_vertex",
+         "tests/test_refusals.py::TestStarSetsAndCones::test_star_set_key_that_is_no_stage_vertex"),
+        "a complex is its facets",
+        "a key that is neither a stage vertex nor a label is refused",
     ),
     # -- map soundness in one scan ----------------------------------------
     Mutant(
@@ -191,16 +246,224 @@ MUTANTS = [
         "search table",
         "the residual state keeps the holds rows",
     ),
+    # -- nerves and map checks from facets --------------------------------
+    Mutant(
+        COMPLEXES,
+        "    return all(m.image(s) in m.target for s in m.source.facets)\n",
+        "    return all(m.image(s) in m.target for s in m.source.facets"
+        " if len(s) == m.source.dim + 1)\n",
+        ("tests/test_facets.py::test_a_map_whose_only_bad_image_is_one_edge_is_refused",
+         "tests/test_facets.py::test_check_simplicial_map_matches_all_simplex_oracle"),
+        "nerves and map checks from facets",
+        "every source facet is checked, not only the top-dimensional ones",
+    ),
+    Mutant(
+        COVERS,
+        "        built = cs.nerves[kind, kappa] = SimplicialComplex(hits)\n",
+        "        built = SimplicialComplex(hits)\n",
+        ("tests/test_facets.py::test_canonical_target_is_the_refinement_maps_source",
+         "tests/test_facets.py::test_mu_driver_builds_each_complex_once_and_no_hit_index"),
+        "nerves and map checks from facets",
+        "each nerve is built once per cover, kind and prefix",
+    ),
+    # -- stage tokens hashed in C, each cover pushed once -------------------
+    Mutant(
+        COVERS,
+        "images[(eid, n)] = min(fits)",
+        "images[(eid, n)] = max(fits)",
+        ("tests/test_covers.py::TestRefinementMap::test_nested_choice_is_deterministic",
+         "tests/test_covers.py::TestRefinementMap::test_least_id_choice_matches_per_pair_reference"),
+        "stage tokens hashed in C",
+        "the refinement map picks the least-id coarse element",
+    ),
+    Mutant(
+        COVERS,
+        "        if key not in self._pushed:\n",
+        "        if True:\n",
+        ("tests/test_covers.py::test_mu_driver_pushes_each_star_set_to_each_level_once",),
+        "stage tokens hashed in C",
+        "a cover's pushed families are kept",
+    ),
+    Mutant(
+        COVERS,
+        "            stars = dict.fromkeys(star for row in rows for _, star in row)\n",
+        "            stars = [star for row in rows for _, star in row]\n",
+        ("tests/test_covers.py::test_mu_driver_pushes_each_star_set_to_each_level_once",),
+        "stage tokens hashed in C",
+        "each distinct star-set is pushed once",
+    ),
+    Mutant(
+        COMPLEXES,
+        "    def __getnewargs__(self):\n        return (self.of,)\n",
+        "",
+        ("tests/test_stage_tokens.py::test_labels_and_reprs_are_unchanged_and_survive_copies",),
+        "stage tokens hashed in C",
+        "a token survives copy and pickle",
+    ),
+    Mutant(
+        COMPLEXES,
+        "    of = property(itemgetter(0))\n",
+        "    of = property(itemgetter(0))\n    __hash__ = lambda self: tuple.__hash__(self)\n",
+        ("tests/test_stage_tokens.py::test_token_hash_and_equality_are_those_of_the_one_tuple",),
+        "stage tokens hashed in C",
+        "a token hashes in C, as its 1-tuple",
+    ),
+    Mutant(
+        REALIZATION,
+        "    if target_level == s.level:\n        return s\n",
+        "",
+        ("tests/test_stage_tokens.py::test_same_level_push_and_same_space_are_shortcuts",),
+        "stage tokens hashed in C",
+        "a push to a star-set's own level returns it",
+    ),
+    # -- one holders index per cover ---------------------------------------
+    Mutant(
+        COVERS,
+        "            for n, row in enumerate(self.pushed(kappa, level)):\n",
+        "            for n, row in reversed(list(enumerate(self.pushed(kappa, level)))):\n",
+        ("tests/test_hit_index.py::test_holders_match_oracle",
+         "tests/test_golden.py::test_cli_output_matches_golden[canonical-nerve]"),
+        "one holders index per cover",
+        "holders are listed least level first",
+    ),
+    Mutant(
+        COVERS,
+        "self._holders[key] = {v: tuple(h) for v, h in held.items()}",
+        "self._holders[key] = {v: tuple(sorted(h)) for v, h in held.items()}",
+        ("tests/test_hit_index.py::test_holders_match_oracle",
+         "tests/test_golden.py::test_cli_output_matches_golden[canonical-nerve]"),
+        "one holders index per cover",
+        "holders are ordered by (level, id), not by id",
+    ),
+    Mutant(
+        COVERS,
+        "            self._holders[key] = {v: tuple(h) for v, h in held.items()}\n",
+        "            return {v: tuple(h) for v, h in held.items()}\n",
+        ("tests/test_facets.py::test_mu_driver_builds_each_complex_once_and_no_hit_index",),
+        "one holders index per cover",
+        "a holders index is kept by its cover",
+    ),
+    Mutant(
+        COVERS,
+        "            fits = [c for c in held if c[1] == n]\n",
+        "            fits = list(held)\n",
+        ("tests/test_covers.py::TestRefinementMap::test_identity_refinement",
+         "tests/test_covers.py::TestRefinementMap::test_least_id_choice_matches_per_pair_reference"),
+        "one holders index per cover",
+        "the refinement map keeps each element's level",
+    ),
+    Mutant(
+        SELECTIONS,
+        "range(len(sigma) - 1 if skeletal else n, n + 1)",
+        "range(len(sigma) - 1 if skeletal else n, len(sigma) if skeletal else n + 1)",
+        ("tests/test_hit_index.py::test_skeletal_predicates_match_kernel_sweeps",),
+        "one holders index per cover",
+        "the skeletal predicate checks every table from |sigma|-1 up",
+    ),
+    Mutant(
+        SELECTIONS,
+        "        default=None,\n    )\n    if stray is None:",
+        "        default=None, key=lambda t: t[2],\n    )\n    if stray is None:",
+        ("tests/test_selections.py::TestAgainstSortedScans::"
+         "test_map_witnesses_match_fiber_and_sweep_oracles",),
+        "one holders index per cover",
+        "the canonical witness is ordered by element before vertex",
+    ),
+    Mutant(
+        SELECTIONS,
+        "    images = {v: held[0] for v, held in holders.items()}\n",
+        "    images = {v: held[-1] for v, held in holders.items()}\n",
+        ("tests/test_selections.py::TestAgainstSortedScans::"
+         "test_canonical_images_are_the_least_hit_elements",
+         "tests/test_golden.py::test_cli_output_matches_golden[canonical-nerve]"),
+        "one holders index per cover",
+        "a canonical map sends each vertex to its first holder",
+    ),
+    Mutant(
+        COMPLEXES,
+        "    missing = min(pool.difference(m.vertex_images), key=vlabel, default=None)\n",
+        "    missing = max(pool.difference(m.vertex_images), key=vlabel, default=None)\n",
+        ("tests/test_golden.py::test_cli_output_matches_golden[cone-extend-incomplete]",
+         "tests/test_golden.py::test_cli_output_matches_golden[selection-skeletal-incomplete]"),
+        "one holders index per cover",
+        "check_complete names the least missing vertex",
+    ),
+    Mutant(
+        SELECTIONS,
+        "        for s in g.source.sorted_simplices():\n",
+        "        for s in g.source.simplices:\n",
+        ("tests/test_selections.py::TestOneMessagePerInput::test_least_simplex_outside_the_chain",
+         "tests/test_golden.py::test_cli_output_matches_golden[cone-extend-two-edges]",
+         # set order follows the hash seed; this test fixes seeds 0, 1 and 2
+         "tests/test_golden.py::test_seed_cases_match_golden_under_three_hash_seeds"),
+        "one holders index per cover",
+        "cone_extend reports the least simplex outside its chain",
+    ),
+    # -- one home for each value -------------------------------------------
+    Mutant(
+        SELECTIONS,
+        "    if not check_simplicial_map(SimplicialMap(f.map.source, delta, f.map.vertex_images)):\n",
+        "    if False:\n",
+        ("tests/test_golden.py::test_cli_output_matches_golden[extract-incomplete]",
+         "tests/test_golden.py::test_cli_output_matches_golden[extract-overlap]"),
+        "one home for each value",
+        "extraction checks the map is simplicial into the one-per-level complex",
+    ),
+    Mutant(
+        COMPLEXES,
+        "    check_complete(m)\n    return all(m.image(s) in m.target for s in m.source.facets)\n",
+        "    return all(m.image(s) in m.target for s in m.source.facets"
+        " if s <= m.vertex_images.keys())\n",
+        ("tests/test_facets.py::test_a_vertex_with_no_image_is_still_refused",
+         "tests/test_complexes.py::TestSimplicialMaps::test_partial_map_rejected"),
+        "one home for each value",
+        "a simplicial check refuses a vertex with no image",
+    ),
+    Mutant(
+        JSONIO,
+        '    _expect(value != "", path, "expected a nonempty string")\n',
+        "",
+        ("tests/test_golden.py::test_cli_output_matches_golden[complex-empty-label]",
+         "tests/test_golden.py::test_cli_output_matches_golden[nerve-empty-id]"),
+        "one home for each value",
+        "labels and ids are nonempty",
+    ),
+    Mutant(
+        COVERS,
+        "        if level == self.working_level:\n            return self.levels[:kappa]\n",
+        "",
+        ("tests/test_hit_index.py::test_working_level_questions_push_nothing",),
+        "one home for each value",
+        "at the working level a cover's families are its own",
+    ),
+    # -- ask holders once ---------------------------------------------------
+    Mutant(
+        COVERS,
+        "        return frozenset(held[0]).intersection(*held[1:])\n",
+        "        return frozenset(held[0])\n",
+        ("tests/test_covers.py::TestRefinementMap::test_not_a_refinement",
+         "tests/test_dimension.py::test_search_walks_the_reference_tree"),
+        "ask holders once",
+        "a containing element holds every vertex of the core",
+    ),
+    Mutant(
+        COVERS,
+        "        hit = frozenset(h for v in s for h in holders.get(v, ()))\n",
+        "        hit = frozenset(holders.get(next(iter(s)), ()))\n",
+        ("tests/test_acceptance.py::test_criterion_2_prefix_cone_monotonicity",
+         "tests/test_hit_index.py::test_nerves_and_one_per_level_complexes_match_oracles"),
+        "ask holders once",
+        "a hit set unites the holders of every vertex",
+    ),
 ]
 
 # (origin, what the mutant did, why it no longer applies)
 RETIRED = [
     ("product facets of the one-per-level complex",
-     "`itertools.product` over the first level's part only",
-     "the product facets are gone: faces are enumerated as a join"),
-    ("product facets of the one-per-level complex",
      "`itertools.product` over every part, empty ones included",
-     "the product facets are gone: faces are enumerated as a join"),
+     "parts are made only for the levels a hit set meets, so none is empty; "
+     "the products are back as facets, and 'an empty hit set has no "
+     "products' guards the one empty case"),
     ("product facets of the one-per-level complex",
      "the skeletal predicate reads the product facets only",
      "both table predicates now walk every one-per-level face"),
@@ -212,4 +475,24 @@ RETIRED = [
      "a found subtree is stored in the table as well",
      "equivalent: a found result returns straight up the stack, and the "
      "table dies with the level before any lookup could read it"),
+    ("one-per-level complex as a join",
+     "each level's part holds every element of the hit set",
+     "`_one_per_level_faces` is gone: a complex is its facets, and the "
+     "per-level split lives on in `_products` ('a product's parts are "
+     "split by level')"),
+    ("one-per-level complex as a join",
+     "each part adds its elements to the singletons only",
+     "`_one_per_level_faces` is gone: no face is enumerated, and 'a product "
+     "takes one element of every level the hit set meets' guards the join"),
+    ("one-per-level complex as a join",
+     "the empty face is kept",
+     "`_one_per_level_faces` is gone: products start from no empty face, "
+     "and 'an empty hit set has no products' guards the one empty case"),
+    ("nerves and map checks from facets",
+     "the linear `facets` rule skips edges",
+     "the rule is gone: a complex stores its facets and never derives them"),
+    ("one holders index per cover",
+     "`max` for `min` in `refinement_map`",
+     "the same mutant as 'the refinement map picks the least-id coarse "
+     "element'"),
 ]

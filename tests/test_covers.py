@@ -29,6 +29,7 @@ from polycover import (
     star_subset,
     unindexed_delta,
 )
+from polycover.complexes import EMPTY_COMPLEX
 from polycover.errors import (
     EmptyPrefix,
     NoCoverage,
@@ -199,6 +200,13 @@ class TestDeltaAtCarrier:
         cs = cover_sequence(e, [[("W", full_star(e, 0))]])
         for tau in cs.working_complex().simplices:
             assert delta_at_carrier(cs, 1, tau).simplices == {fs(("W", 0))}
+
+    def test_a_carrier_the_prefix_misses_gets_the_empty_complex(self):
+        e = edge_space()
+        cs = cover_sequence(e, [[("A", star_set(e, 0, ["a"]))], [("W", full_star(e, 0))]])
+        value = delta_at_carrier(cs, 1, fs("b"))
+        assert value == EMPTY_COMPLEX and not value.facets and value.dim == -1
+        assert delta_at_carrier(cs, 2, fs("b")).facets == {fs(("W", 1))}
 
     def test_unknown_carrier(self):
         cs = rem_cover()

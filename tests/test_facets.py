@@ -1,5 +1,10 @@
-"""Map checks by facets, and one-per-level complexes built once per cover.
+"""A complex stored as its facets, map checks by facets, and one-per-level
+complexes built once per cover.
 
+`SimplicialComplex` keeps only the maximal sets of the family it is built
+from; its faces, membership, equality and inclusion are checked here
+against the face closure of the family, and the facets of subdivision
+stages against the maximal chains of the stage below (`tests/helpers.py`).
 `check_simplicial_map` tests source facets only; `tests/helpers.py` keeps
 a check on every source simplex as the oracle.  Nerves and one-per-level
 complexes are kept per cover and prefix, so `refinement_map` and
@@ -8,9 +13,11 @@ does each holders index.  (`tests/test_hit_index.py` checks the
 facet-built complexes and the holders themselves.)
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polycover import (
     CoverSequence,
@@ -29,7 +36,7 @@ from polycover import (
     validate_complex,
     vlabel,
 )
-from polycover import covers, selections
+from polycover import covers, face_closure, selections
 from polycover.errors import IncompleteMap
 from polycover.fixtures import (
     boundary_space,
@@ -42,8 +49,12 @@ from polycover.fixtures import (
 from helpers import (
     dangling_space,
     reference_check_simplicial_map,
+    reference_maximal_sets,
+    reference_maximal_simplices,
+    reference_stage_facets,
     two_triangles_space,
 )
+from test_hit_index import TYPED_IN
 
 BASES = (
     edge_space,
@@ -53,6 +64,49 @@ BASES = (
     dangling_space,
     two_triangles_space,
 )
+
+
+POOL = "abcdefg"
+# every vertex set over the pool and one vertex outside it, empty included
+PROBES = [
+    frozenset(c) for r in range(len(POOL) + 2)
+    for c in itertools.combinations(POOL + "z", r)
+]
+families = st.lists(
+    st.frozensets(st.sampled_from(POOL), min_size=1, max_size=5), max_size=8
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(families, families, st.randoms(use_true_random=False))
+def test_a_complex_is_the_maximal_sets_of_its_family(sets, others, rng):
+    c = SimplicialComplex(sets)
+    closure = face_closure(sets)
+    assert c.facets == frozenset(reference_maximal_sets(sets))
+    assert c.simplices == closure
+    assert c.vertices == frozenset().union(*sets)
+    assert c.dim == max(map(len, sets), default=0) - 1
+    for probe in PROBES:
+        assert (probe in c) == (probe in closure), probe
+    redundant = rng.sample(sorted(closure, key=sorted), len(closure) // 2)
+    shuffled = list(sets) + redundant
+    rng.shuffle(shuffled)
+    twin = SimplicialComplex(shuffled)
+    assert twin == c and hash(twin) == hash(c)
+    assert SimplicialComplex(closure) == c
+    other = SimplicialComplex(others)
+    assert c.subcomplex_of(other) == (closure <= face_closure(others))
+    assert (c == other) == (closure == face_closure(others))
+
+
+def test_stage_facets_are_the_maximal_chains_below():
+    for space_fn in TYPED_IN:
+        space = space_fn()
+        base = space.stage_complex(0)
+        assert base.facets == frozenset(reference_maximal_simplices(base))
+        for level in (1, 2, 3):
+            parent = space.stage_complex(level - 1)
+            assert space.stage_complex(level).facets == reference_stage_facets(parent)
 
 
 def _sorted_vertices(c: SimplicialComplex) -> list:

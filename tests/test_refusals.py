@@ -169,6 +169,10 @@ class TestCoordinates:
         with refused(InvalidPoint, "point does not live on a stage of this space"):
             push_point(tri_space(), p, 1)
 
+    def test_a_key_that_is_no_stage_vertex(self):
+        with refused(InvalidArgument, "7 is not a vertex of stage 0"):
+            stage_point(tri_space(), 0, {7: "1"})
+
     def test_an_unknown_label_in_a_point_document(self):
         doc = {"level": 0, "coords": {"zz": "1"}}
         with refused(SchemaError, "$.coords: no vertex labelled 'zz' at level 0"):
