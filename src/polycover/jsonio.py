@@ -1,9 +1,26 @@
 """JSON and DOT serialization for every interchange format, plus the
-path-precise input validators backing the command line.
+path-precise input readers backing the command line.
 
 All emitters are deterministic: collections are sorted canonically and
 rationals are printed as decimal-free strings, so identical inputs give
 byte-identical outputs.
+
+Every reader walks its document through one private type, `_At`, a value
+with its path.  It alone formats paths (`$.field`, `[i]`, `['key']`) and
+raises the shape refusals ("expected an object", "expected an array",
+"expected a string", "expected a nonempty string", "expected an integer"),
+so each is a `SchemaError` at the path of the offending value.  The one
+reader of star-set families serves covers, which put every element at the
+working level, and refinements, whose elements carry their own level.
+
+A library refusal becomes a `SchemaError` at the path of the value it
+concerns only where a reader builds from labels or elements: an
+`InvalidArgument` from `star_set`, `stage_point` or
+`PolyhedralSpace.vertex_named`, and any `PolycoverError` from
+`cover_sequence` or `carrier_tables`.  Everything else escapes as itself:
+a level that names no stage is refused as a level (`InvalidArgument`)
+before any label is read at it, and an internal error is never reported
+as a schema error.
 """
 
 from __future__ import annotations
@@ -11,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -51,30 +69,62 @@ def dumps(payload: dict) -> str:
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-def _expect(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise SchemaError(path, message)
+class _At(NamedTuple):
+    """A document value and its path."""
 
+    value: object
+    path: str
 
-def _expect_list(value, path: str) -> list:
-    _expect(isinstance(value, list), path, "expected an array")
-    return value
+    def check(self, cond, message: str) -> None:
+        if not cond:
+            raise SchemaError(self.path, message)
 
+    def obj(self) -> dict:
+        self.check(isinstance(self.value, dict), "expected an object")
+        return self.value
 
-def _expect_str(value, path: str) -> str:
-    _expect(isinstance(value, str), path, "expected a string")
-    _expect(value != "", path, "expected a nonempty string")
-    return value
+    def field(self, name: str, default=None) -> _At:
+        return _At(self.obj().get(name, default), f"{self.path}.{name}")
 
+    def items(self) -> list:
+        """The (key, value) entries of an object."""
+        return [(key, _At(v, f"{self.path}[{key!r}]")) for key, v in self.obj().items()]
 
-def _expect_int(value, path: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
-    return value
+    def _array(self, empty: str | None) -> list:
+        self.check(isinstance(self.value, list), "expected an array")
+        if empty is not None:
+            self.check(len(self.value) > 0, empty)
+        return self.value
 
+    def entries(self, empty: str | None = None) -> list:
+        """The elements of an array; `empty` refuses an empty one."""
+        return [_At(v, f"{self.path}[{i}]") for i, v in enumerate(self._array(empty))]
 
-def _expect_obj(value, path: str) -> dict:
-    _expect(isinstance(value, dict), path, "expected an object")
-    return value
+    def string(self) -> str:
+        self.check(isinstance(self.value, str), "expected a string")
+        self.check(self.value != "", "expected a nonempty string")
+        return self.value
+
+    def strs(self, empty: str | None = None) -> list:
+        """An array of nonempty strings, read in one pass: an element gets
+        a path only to be refused."""
+        values = self._array(empty)
+        for i, v in enumerate(values):
+            if not (isinstance(v, str) and v):
+                _At(v, f"{self.path}[{i}]").string()
+        return values
+
+    def integer(self) -> int:
+        v = self.value
+        self.check(isinstance(v, int) and not isinstance(v, bool), "expected an integer")
+        return v
+
+    def build(self, refusal: type, make, *args):
+        """make(*args), with a `refusal` raised as a SchemaError here."""
+        try:
+            return make(*args)
+        except refusal as err:
+            raise SchemaError(self.path, str(err)) from None
 
 
 # -- complexes ---------------------------------------------------------------
@@ -87,24 +137,14 @@ def complex_to_json(c: SimplicialComplex) -> dict:
     }
 
 
-def _simplices_from_json(data, path: str, empty: str) -> SimplicialComplex:
+def _complex(at: _At, empty: str) -> SimplicialComplex:
     """The face closure of a nonempty list of nonempty vertex-label lists;
     `empty` is the message for an empty outer list."""
-    raw = _expect_list(data, path)
-    _expect(len(raw) > 0, path, empty)
-    sets = []
-    for i, entry in enumerate(raw):
-        entry = _expect_list(entry, f"{path}[{i}]")
-        _expect(len(entry) > 0, f"{path}[{i}]", "simplices are nonempty")
-        sets.append({_expect_str(v, f"{path}[{i}][{j}]") for j, v in enumerate(entry)})
-    return validate_complex(sets)
+    return validate_complex([set(s.strs("simplices are nonempty")) for s in at.entries(empty)])
 
 
 def complex_from_json(data, path: str = "$") -> SimplicialComplex:
-    obj = _expect_obj(data, path)
-    return _simplices_from_json(
-        obj.get("maximal_simplices"), f"{path}.maximal_simplices", "needs at least one simplex"
-    )
+    return _complex(_At(data, path).field("maximal_simplices"), "needs at least one simplex")
 
 
 def _to_dot(c: SimplicialComplex, name: str, caption: str) -> str:
@@ -138,25 +178,17 @@ def point_to_json(p: BarycentricPoint) -> dict:
 
 
 def point_from_json(space: PolyhedralSpace, data, path: str = "$") -> BarycentricPoint:
-    obj = _expect_obj(data, path)
-    level = _expect_int(obj.get("level"), f"{path}.level")
-    coords = _expect_obj(obj.get("coords"), f"{path}.coords")
+    doc = _At(data, path)
+    level = doc.field("level").integer()
+    coords = doc.field("coords")
     parsed = {}
     for key, value in coords.items():
-        here = f"{path}.coords[{key!r}]"
-        value = _expect_str(value, here)
-        _expect(
-            bool(_RATIONAL.match(value)), here, "rationals are decimal-free strings like '1/3'"
-        )
-        _expect(
-            int(value.partition("/")[2] or 1) != 0, here, "a denominator must be nonzero"
-        )
-        parsed[key] = Fraction(value)
+        text = value.string()
+        value.check(_RATIONAL.match(text), "rationals are decimal-free strings like '1/3'")
+        value.check(int(text.partition("/")[2] or 1) != 0, "a denominator must be nonzero")
+        parsed[key] = Fraction(text)
     space.stage(level)
-    try:
-        return stage_point(space, level, parsed)
-    except InvalidArgument as err:
-        raise SchemaError(f"{path}.coords", str(err)) from None
+    return coords.build(InvalidArgument, stage_point, space, level, parsed)
 
 
 def star_set_to_json(s: StarSet) -> dict:
@@ -166,23 +198,29 @@ def star_set_to_json(s: StarSet) -> dict:
     }
 
 
-def _stars_from_json(space: PolyhedralSpace, level: int, obj: dict, path: str) -> StarSet:
-    """The level-`level` star-set named by the `stars` label list of obj.
-    A level that names no stage is refused as a level, before any label."""
-    stars = _expect_list(obj.get("stars"), f"{path}.stars")
-    names = [_expect_str(v, f"{path}.stars[{i}]") for i, v in enumerate(stars)]
+def _star_set(space: PolyhedralSpace, at: _At, level: int | None) -> StarSet:
+    """The star-set named by the `stars` labels of at, at `level`, or at
+    its own `level` field when that is None.  A level that names no stage
+    is refused as a level, before any label."""
+    if level is None:
+        level = at.field("level").integer()
+    stars = at.field("stars")
+    names = stars.strs()
     space.stage(level)
-    try:
-        return star_set(space, level, names)
-    except InvalidArgument as err:
-        raise SchemaError(f"{path}.stars", str(err)) from None
+    return stars.build(InvalidArgument, star_set, space, level, names)
 
 
 def star_set_from_json(space: PolyhedralSpace, data, path: str = "$") -> StarSet:
-    obj = _expect_obj(data, path)
-    level = _expect_int(obj.get("level"), f"{path}.level")
-    _expect(obj.get("stars") != [], f"{path}.stars", "a star-set needs core vertices")
-    return _stars_from_json(space, level, obj, path)
+    return _star_set(space, _At(data, path), None)
+
+
+def _families(space: PolyhedralSpace, rows: list, level: int | None) -> list:
+    """The (id, star-set) elements of each row, every one at `level`, or
+    at its own `level` field when that is None."""
+    return [
+        [(e.field("id").string(), _star_set(space, e, level)) for e in row.entries()]
+        for row in rows
+    ]
 
 
 # -- cover sequences ---------------------------------------------------------
@@ -202,26 +240,12 @@ def cover_to_json(cs: CoverSequence) -> dict:
 
 
 def cover_from_json(data, path: str = "$") -> CoverSequence:
-    obj = _expect_obj(data, path)
-    base = complex_from_json(obj.get("space"), f"{path}.space")
-    space = PolyhedralSpace(base)
-    level = _expect_int(obj.get("working_level"), f"{path}.working_level")
-    raw_levels = _expect_list(obj.get("levels"), f"{path}.levels")
-    _expect(len(raw_levels) > 0, f"{path}.levels", "needs at least one level")
-    levels = []
-    for n, raw_family in enumerate(raw_levels):
-        raw_family = _expect_list(raw_family, f"{path}.levels[{n}]")
-        family = []
-        for i, raw in enumerate(raw_family):
-            here = f"{path}.levels[{n}][{i}]"
-            raw = _expect_obj(raw, here)
-            eid = _expect_str(raw.get("id"), f"{here}.id")
-            family.append((eid, _stars_from_json(space, level, raw, here)))
-        levels.append(family)
-    try:
-        return cover_sequence(space, levels)
-    except PolycoverError as err:
-        raise SchemaError(f"{path}.levels", str(err)) from None
+    doc = _At(data, path)
+    space = PolyhedralSpace(complex_from_json(*doc.field("space")))
+    level = doc.field("working_level").integer()
+    levels = doc.field("levels")
+    families = _families(space, levels.entries("needs at least one level"), level)
+    return levels.build(PolycoverError, cover_sequence, space, families)
 
 
 # -- nerves ------------------------------------------------------------------
@@ -234,10 +258,11 @@ def _pairs(vertices) -> list:
     return sorted((_pair(v) for v in vertices), key=lambda p: (p[1], p[0]))
 
 
-def _pair_from_json(value, path: str) -> tuple:
-    pair = _expect_list(value, path)
-    _expect(len(pair) == 2, path, "expected an [id, level] pair")
-    return _expect_str(pair[0], f"{path}[0]"), _expect_int(pair[1], f"{path}[1]")
+def _cover_vertex(at: _At) -> tuple:
+    """An [id, level] pair naming a cover element."""
+    pair = at.entries()
+    at.check(len(pair) == 2, "expected an [id, level] pair")
+    return pair[0].string(), pair[1].integer()
 
 
 def nerve_to_json(c: SimplicialComplex, kind: str) -> dict:
@@ -279,25 +304,17 @@ def canonical_map_to_json(f: CanonicalMap) -> dict:
 def canonical_map_from_json(
     cs: CoverSequence, data, path: str = "$", kappa: int | None = None
 ) -> CanonicalMap:
-    obj = _expect_obj(data, path)
-    level = _expect_int(obj.get("subdivision_level"), f"{path}.subdivision_level")
-    kind = obj.get("target_kind", DELTA)
-    _expect(
-        kind in ("delta", "full_nerve"),
-        f"{path}.target_kind",
-        "must be 'delta' or 'full_nerve'",
-    )
-    images_raw = _expect_obj(obj.get("vertex_images"), f"{path}.vertex_images")
+    doc = _At(data, path)
+    level = doc.field("subdivision_level").integer()
+    kind = doc.field("target_kind", DELTA)
+    kind.check(kind.value in ("delta", "full_nerve"), "must be 'delta' or 'full_nerve'")
+    rows = doc.field("vertex_images").items()
     stage = cs.space.stage_complex(level)
     images = {}
-    for name, pair in images_raw.items():
-        here = f"{path}.vertex_images[{name!r}]"
-        image = _pair_from_json(pair, here)
-        try:
-            v = cs.space.vertex_named(level, name)
-        except InvalidArgument as err:
-            raise SchemaError(here, str(err)) from None
-        images[v] = image
+    for name, row in rows:
+        image = _cover_vertex(row)
+        images[row.build(InvalidArgument, cs.space.vertex_named, level, name)] = image
+    kind = kind.value
     target = delta_subcomplex(cs, kappa) if kind == DELTA else nerve(cs, kappa)
     return CanonicalMap(level, SimplicialMap(stage, target, images), kind)
 
@@ -314,17 +331,16 @@ def delta_map_to_json(f: SimplicialMap) -> dict:
 def delta_map_from_json(
     cs: CoverSequence, target: SimplicialComplex, data, path: str = "$"
 ) -> SimplicialMap:
-    obj = _expect_obj(data, path)
-    rows = _expect_list(obj.get("vertex_images"), f"{path}.vertex_images")
+    rows = _At(data, path).field("vertex_images").entries()
     elements = {(eid, n) for eid, n, _ in cs.elements()}
     images = {}
-    for i, row in enumerate(rows):
-        here = f"{path}.vertex_images[{i}]"
-        row = _expect_obj(row, here)
-        vertex = _pair_from_json(row.get("vertex"), f"{here}.vertex")
-        _expect(vertex in elements, f"{here}.vertex", "names no cover element")
-        name = _expect_str(row.get("image"), f"{here}.image")
-        _expect(name in target.by_label, f"{here}.image", "names no target vertex")
+    for row in rows:
+        at = row.field("vertex")
+        vertex = _cover_vertex(at)
+        at.check(vertex in elements, "names no cover element")
+        at = row.field("image")
+        name = at.string()
+        at.check(name in target.by_label, "names no target vertex")
         images[vertex] = target.by_label[name]
     return SimplicialMap(delta_subcomplex(cs, cs.num_levels), target, images)
 
@@ -352,30 +368,23 @@ def tables_to_json(phi: CarrierMappingSequence) -> dict:
 def tables_from_json(
     space: PolyhedralSpace, data, path: str = "$"
 ) -> CarrierMappingSequence:
-    obj = _expect_obj(data, path)
-    level = _expect_int(obj.get("level"), f"{path}.level")
-    target = complex_from_json(obj.get("target"), f"{path}.target")
-    witness = obj.get("cone_witness")
-    if witness is not None:
-        witness = _expect_str(witness, f"{path}.cone_witness")
-    raw_tables = _expect_list(obj.get("tables"), f"{path}.tables")
+    doc = _At(data, path)
+    level = doc.field("level").integer()
+    target = complex_from_json(*doc.field("target"))
+    witness = doc.field("cone_witness")
+    witness = None if witness.value is None else witness.string()
+    raw_tables = doc.field("tables")
+    rows = raw_tables.entries()
     stage = space.stage_complex(level)
     by_token = {simplex_label(s): s for s in stage.simplices}
     tables = []
-    for k, raw in enumerate(raw_tables):
-        raw = _expect_obj(raw, f"{path}.tables[{k}]")
+    for row in rows:
         table = {}
-        for token, sets in raw.items():
-            here = f"{path}.tables[{k}][{token!r}]"
-            _expect(token in by_token, here, "token names no working-stage simplex")
-            table[by_token[token]] = _simplices_from_json(
-                sets, here, "table values are nonempty complexes"
-            )
+        for token, sets in row.items():
+            sets.check(token in by_token, "token names no working-stage simplex")
+            table[by_token[token]] = _complex(sets, "table values are nonempty complexes")
         tables.append(table)
-    try:
-        return carrier_tables(space, level, target, tables, witness)
-    except PolycoverError as err:
-        raise SchemaError(f"{path}.tables", str(err)) from None
+    return raw_tables.build(PolycoverError, carrier_tables, space, level, target, tables, witness)
 
 
 # -- refinements, search, reports --------------------------------------------
@@ -398,24 +407,12 @@ def refinement_to_json(r: CRefinement) -> dict:
 
 
 def refinement_from_json(cs: CoverSequence, data, path: str = "$") -> CRefinement:
-    obj = _expect_obj(data, path)
-    kappa = _expect_int(obj.get("kappa"), f"{path}.kappa")
-    raw_families = _expect_list(obj.get("families"), f"{path}.families")
-    _expect(
-        len(raw_families) == kappa, f"{path}.families", "family count must equal kappa"
-    )
-    families = []
-    for n, raw_family in enumerate(raw_families):
-        raw_family = _expect_list(raw_family, f"{path}.families[{n}]")
-        family = []
-        for i, raw in enumerate(raw_family):
-            here = f"{path}.families[{n}][{i}]"
-            raw = _expect_obj(raw, here)
-            eid = _expect_str(raw.get("id"), f"{here}.id")
-            level = _expect_int(raw.get("level"), f"{here}.level")
-            family.append((eid, _stars_from_json(cs.space, level, raw, here)))
-        families.append(tuple(family))
-    return CRefinement(tuple(families), kappa, cs)
+    doc = _At(data, path)
+    kappa = doc.field("kappa").integer()
+    rows = doc.field("families")
+    families = rows.entries()
+    rows.check(len(families) == kappa, "family count must equal kappa")
+    return CRefinement(tuple(map(tuple, _families(cs.space, families, None))), kappa, cs)
 
 
 def report_to_json(report: RefinementReport) -> dict:
@@ -474,28 +471,23 @@ def mu_report_to_json(report: MuReport) -> dict:
 # -- cone extension input ----------------------------------------------------
 
 def cone_input_from_json(data, path: str = "$") -> dict:
-    obj = _expect_obj(data, path)
-    source = complex_from_json(obj.get("source"), f"{path}.source")
-    target = complex_from_json(obj.get("target"), f"{path}.target")
-    images_raw = _expect_obj(obj.get("vertex_images"), f"{path}.vertex_images")
+    doc = _At(data, path)
+    source = complex_from_json(*doc.field("source"))
+    target = complex_from_json(*doc.field("target"))
     images = {}
-    for name, image in images_raw.items():
-        here = f"{path}.vertex_images[{name!r}]"
-        _expect(name in source.vertices, here, "names no source vertex")
-        images[name] = _expect_str(image, here)
-    new_vertex = _expect_str(obj.get("new_vertex"), f"{path}.new_vertex")
-    witness = _expect_str(obj.get("witness_vertex"), f"{path}.witness_vertex")
-    raw_chain = _expect_list(obj.get("chain"), f"{path}.chain")
-    _expect(len(raw_chain) >= 2, f"{path}.chain", "needs at least two members")
-    chain = [
-        complex_from_json(entry, f"{path}.chain[{i}]")
-        for i, entry in enumerate(raw_chain)
-    ]
+    for name, image in doc.field("vertex_images").items():
+        image.check(name in source.vertices, "names no source vertex")
+        images[name] = image.string()
+    new_vertex = doc.field("new_vertex").string()
+    witness = doc.field("witness_vertex").string()
+    chain = doc.field("chain")
+    members = chain.entries()
+    chain.check(len(members) >= 2, "needs at least two members")
     return {
         "map": SimplicialMap(source, target, images),
         "new_vertex": new_vertex,
         "witness": witness,
-        "chain": chain,
+        "chain": [complex_from_json(*member) for member in members],
     }
 
 

@@ -155,16 +155,16 @@ MUTANTS = [
     # -- every refusal a PolycoverError, levels before labels -------------
     Mutant(
         JSONIO,
-        "    space.stage(level)\n    try:\n        return star_set(space, level, names)\n",
-        "    try:\n        return star_set(space, level, names)\n",
+        "    space.stage(level)\n    return stars.build(InvalidArgument, star_set,",
+        "    return stars.build(InvalidArgument, star_set,",
         ("tests/test_golden.py::test_cli_output_matches_golden[cover-negative-level]",),
         "every refusal a PolycoverError",
         "a star-set reader refuses a negative level as a level",
     ),
     Mutant(
         JSONIO,
-        "    space.stage(level)\n    try:\n        return stage_point(space, level, parsed)\n",
-        "    try:\n        return stage_point(space, level, parsed)\n",
+        "    space.stage(level)\n    return coords.build(InvalidArgument, stage_point,",
+        "    return coords.build(InvalidArgument, stage_point,",
         ("tests/test_jsonio_cli.py::TestSchemaErrors::"
          "test_a_negative_level_is_refused_as_a_level[point]",),
         "every refusal a PolycoverError",
@@ -172,12 +172,40 @@ MUTANTS = [
     ),
     Mutant(
         JSONIO,
-        '    except InvalidArgument as err:\n        raise SchemaError(f"{path}.stars"',
-        '    except ValueError as err:\n        raise SchemaError(f"{path}.stars"',
+        "stars.build(InvalidArgument, star_set,",
+        "stars.build(ValueError, star_set,",
         ("tests/test_jsonio_cli.py::TestSchemaErrors::"
          "test_internal_value_errors_are_not_schema_errors",),
         "every refusal a PolycoverError",
         "a label lookup converts only its own refusal",
+    ),
+    # -- one reader for every document ------------------------------------
+    Mutant(
+        JSONIO,
+        "            if not (isinstance(v, str) and v):\n",
+        "            if not isinstance(v, str):\n",
+        ("tests/test_golden.py::test_cli_output_matches_golden[complex-empty-label]",
+         "tests/test_jsonio_cli.py::TestSchemaErrors::test_empty_labels_and_ids_are_refused"),
+        "one reader for every document",
+        "a label list refuses an empty label",
+    ),
+    Mutant(
+        JSONIO,
+        "        except refusal as err:\n",
+        "        except Exception as err:\n",
+        ("tests/test_jsonio_cli.py::TestSchemaErrors::"
+         "test_internal_errors_are_not_schema_errors",),
+        "one reader for every document",
+        "a library refusal is mapped by its class only",
+    ),
+    Mutant(
+        JSONIO,
+        'f"{self.path}[{key!r}]"',
+        'f"{self.path}.{key}"',
+        ("tests/test_jsonio_cli.py::TestSchemaErrors::test_image_keys_must_be_source_vertices",
+         "tests/test_jsonio_cli.py::TestSchemaErrors::test_zero_denominator_is_refused"),
+        "one reader for every document",
+        "an object entry's path is ['key']",
     ),
     Mutant(
         COVERS,
@@ -421,7 +449,7 @@ MUTANTS = [
     ),
     Mutant(
         JSONIO,
-        '    _expect(value != "", path, "expected a nonempty string")\n',
+        '        self.check(self.value != "", "expected a nonempty string")\n',
         "",
         ("tests/test_golden.py::test_cli_output_matches_golden[complex-empty-label]",
          "tests/test_golden.py::test_cli_output_matches_golden[nerve-empty-id]"),
