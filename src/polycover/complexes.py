@@ -151,7 +151,7 @@ class SimplicialComplex:
         return sorted(self.simplices, key=simplex_key)
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex({len(self.simplices)} simplices, dim={self.dim})"
+        return f"SimplicialComplex({len(self.facets)} facets, dim={self.dim})"
 
 
 def _maximal(sets) -> frozenset:

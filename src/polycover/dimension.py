@@ -77,8 +77,11 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
     All three checks are exact simplex combinatorics at a common level,
     to which every element and every coarse element is pushed once; the
     first violation is reported with a witness.  An overlap witness names
-    the least overlapping pair of elements in family order.
+    the least overlapping pair of elements in family order.  A family
+    count other than kappa is refused.
     """
+    if len(r.families) != r.kappa:
+        raise InvalidArgument("family count must equal kappa")
     space = r.source.space
     stars = [star for family in r.families for _, star in family]
     level = max([r.source.working_level] + [star.level for star in stars])

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -69,31 +68,32 @@ def dumps(payload: dict) -> str:
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-class _At(NamedTuple):
+class _At:
     """A document value and its path."""
 
-    value: object
-    path: str
+    __slots__ = ("value", "path")
+
+    def __init__(self, value, path: str):
+        self.value = value
+        self.path = path
 
     def check(self, cond, message: str) -> None:
         if not cond:
             raise SchemaError(self.path, message)
 
-    def obj(self) -> dict:
-        self.check(isinstance(self.value, dict), "expected an object")
-        return self.value
-
     def field(self, name: str, default=None) -> _At:
-        return _At(self.obj().get(name, default), f"{self.path}.{name}")
+        """A field of an object; a missing one reads as `default`."""
+        self.check(isinstance(self.value, dict), "expected an object")
+        return _At(self.value.get(name, default), f"{self.path}.{name}")
 
     def items(self) -> list:
         """The (key, value) entries of an object."""
-        return [(key, _At(v, f"{self.path}[{key!r}]")) for key, v in self.obj().items()]
+        self.check(isinstance(self.value, dict), "expected an object")
+        return [(key, _At(v, f"{self.path}[{key!r}]")) for key, v in self.value.items()]
 
     def _array(self, empty: str | None) -> list:
         self.check(isinstance(self.value, list), "expected an array")
-        if empty is not None:
-            self.check(len(self.value) > 0, empty)
+        self.check(self.value or empty is None, empty)
         return self.value
 
     def entries(self, empty: str | None = None) -> list:
@@ -137,14 +137,18 @@ def complex_to_json(c: SimplicialComplex) -> dict:
     }
 
 
-def _complex(at: _At, empty: str) -> SimplicialComplex:
+def _faces(at: _At, empty: str) -> SimplicialComplex:
     """The face closure of a nonempty list of nonempty vertex-label lists;
     `empty` is the message for an empty outer list."""
     return validate_complex([set(s.strs("simplices are nonempty")) for s in at.entries(empty)])
 
 
+def _complex(at: _At) -> SimplicialComplex:
+    return _faces(at.field("maximal_simplices"), "needs at least one simplex")
+
+
 def complex_from_json(data, path: str = "$") -> SimplicialComplex:
-    return _complex(_At(data, path).field("maximal_simplices"), "needs at least one simplex")
+    return _complex(_At(data, path))
 
 
 def _to_dot(c: SimplicialComplex, name: str, caption: str) -> str:
@@ -241,7 +245,7 @@ def cover_to_json(cs: CoverSequence) -> dict:
 
 def cover_from_json(data, path: str = "$") -> CoverSequence:
     doc = _At(data, path)
-    space = PolyhedralSpace(complex_from_json(*doc.field("space")))
+    space = PolyhedralSpace(_complex(doc.field("space")))
     level = doc.field("working_level").integer()
     levels = doc.field("levels")
     families = _families(space, levels.entries("needs at least one level"), level)
@@ -314,9 +318,8 @@ def canonical_map_from_json(
     for name, row in rows:
         image = _cover_vertex(row)
         images[row.build(InvalidArgument, cs.space.vertex_named, level, name)] = image
-    kind = kind.value
-    target = delta_subcomplex(cs, kappa) if kind == DELTA else nerve(cs, kappa)
-    return CanonicalMap(level, SimplicialMap(stage, target, images), kind)
+    target = delta_subcomplex(cs, kappa) if kind.value == DELTA else nerve(cs, kappa)
+    return CanonicalMap(level, SimplicialMap(stage, target, images), kind.value)
 
 
 def delta_map_to_json(f: SimplicialMap) -> dict:
@@ -370,7 +373,7 @@ def tables_from_json(
 ) -> CarrierMappingSequence:
     doc = _At(data, path)
     level = doc.field("level").integer()
-    target = complex_from_json(*doc.field("target"))
+    target = _complex(doc.field("target"))
     witness = doc.field("cone_witness")
     witness = None if witness.value is None else witness.string()
     raw_tables = doc.field("tables")
@@ -382,7 +385,7 @@ def tables_from_json(
         table = {}
         for token, sets in row.items():
             sets.check(token in by_token, "token names no working-stage simplex")
-            table[by_token[token]] = _complex(sets, "table values are nonempty complexes")
+            table[by_token[token]] = _faces(sets, "table values are nonempty complexes")
         tables.append(table)
     return raw_tables.build(PolycoverError, carrier_tables, space, level, target, tables, witness)
 
@@ -472,8 +475,8 @@ def mu_report_to_json(report: MuReport) -> dict:
 
 def cone_input_from_json(data, path: str = "$") -> dict:
     doc = _At(data, path)
-    source = complex_from_json(*doc.field("source"))
-    target = complex_from_json(*doc.field("target"))
+    source = _complex(doc.field("source"))
+    target = _complex(doc.field("target"))
     images = {}
     for name, image in doc.field("vertex_images").items():
         image.check(name in source.vertices, "names no source vertex")
@@ -487,7 +490,7 @@ def cone_input_from_json(data, path: str = "$") -> dict:
         "map": SimplicialMap(source, target, images),
         "new_vertex": new_vertex,
         "witness": witness,
-        "chain": [complex_from_json(*member) for member in members],
+        "chain": [_complex(member) for member in members],
     }
 
 

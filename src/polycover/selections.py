@@ -323,7 +323,7 @@ def carrier_tables(
     tables,
     cone_witness=None,
 ) -> CarrierMappingSequence:
-    """Validate and freeze a carrier mapping sequence."""
+    """Validate and freeze a carrier mapping sequence of one or more tables."""
     stage = space.stage_complex(level)
     frozen = []
     for k, table in enumerate(tables):
@@ -336,6 +336,8 @@ def carrier_tables(
             if not value.subcomplex_of(target):
                 raise InvalidArgument(f"table {k} value is not a subcomplex of the target")
         frozen.append(dict(table))
+    if not frozen:
+        raise ArityError("need at least one table")
     # Codimension-one faces suffice: every face inclusion chains through them.
     for k, table in enumerate(frozen):
         for tau in stage.simplices:

@@ -109,6 +109,13 @@ def test_stage_facets_are_the_maximal_chains_below():
             assert space.stage_complex(level).facets == reference_stage_facets(parent)
 
 
+def test_repr_counts_facets_and_expands_no_face():
+    stage = tri_space().stage_complex(3)
+    assert repr(stage) == "SimplicialComplex(216 facets, dim=2)"
+    assert "simplices" not in vars(stage)
+    assert repr(SimplicialComplex(frozenset())) == "SimplicialComplex(0 facets, dim=-1)"
+
+
 def _sorted_vertices(c: SimplicialComplex) -> list:
     return sorted(c.vertices, key=vlabel)
 

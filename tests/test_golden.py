@@ -350,11 +350,27 @@ CASES = {
         ],
         None,
     ),
+    # a carrier mapping sequence has at least one table
+    "selection-skeletal-no-tables": (
+        [
+            "selection",
+            "--cover",
+            "skeletal.cover.json",
+            "--map",
+            "skeletal.map.json",
+            "--predicate",
+            "skeletal",
+            "--tables",
+            "no_tables.tables.json",
+        ],
+        None,
+    ),
 }
 
 # input document -> schema it conforms to (the skeletal maps have none, and the
-# negative-level map and cover, the empty-simplex tables and the empty label
-# and id break their schemas on purpose; invalid.cover.txt is not JSON at all)
+# negative-level map and cover, the empty-simplex tables, the tables with no
+# table and the empty label and id break their schemas on purpose;
+# invalid.cover.txt is not JSON at all)
 INPUT_SCHEMAS = {
     "bad.map.json": "canonical_map",
     "boundary.complex.json": "complex",
@@ -375,6 +391,7 @@ INPUT_SCHEMAS = {
     "fine.delta.map.json": "canonical_map",
     "negative_level.cover.json": None,
     "negative_level.map.json": None,
+    "no_tables.tables.json": None,
     "not_a_refinement.refinement.json": "refinement",
     "overlap.refinement.json": "refinement",
     "rem.cover.json": "cover_sequence",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from polycover import jsonio
@@ -47,6 +47,7 @@ NEEDS = {
     "empty_simplex.tables.json": ("skeletal.cover.json",),
     "fine.delta.map.json": ("fine.cover.json",),
     "negative_level.map.json": ("rem.cover.json",),
+    "no_tables.tables.json": ("skeletal.cover.json",),
     "not_a_refinement.refinement.json": ("tri2.cover.json",),
     "overlap.refinement.json": ("tri2.cover.json",),
     "rem.nerve.map.json": ("rem.cover.json",),
@@ -77,23 +78,24 @@ def tables(cover_name: str, name: str):
     return jsonio.tables_from_json(cover(cover_name).space, load(name))
 
 
-def read(name: str, doc) -> None:
-    """Read doc with the reader the command line uses for document `name`."""
-    needs = NEEDS.get(name, ())
+def reader(name: str):
+    """The reader the command line uses for document `name`, as a function
+    of the document alone."""
     if name.endswith(".complex.json"):
-        jsonio.complex_from_json(doc)
-    elif name.endswith(".cover.json"):
-        jsonio.cover_from_json(doc)
-    elif name.startswith("cone"):
-        jsonio.cone_input_from_json(doc)
-    elif name.endswith(".refinement.json"):
-        jsonio.refinement_from_json(cover(needs[0]), doc)
-    elif name.endswith(".tables.json"):
-        jsonio.tables_from_json(cover(needs[0]).space, doc)
-    elif len(needs) == 2:
-        jsonio.delta_map_from_json(cover(needs[0]), tables(*needs).target, doc)
-    else:
-        jsonio.canonical_map_from_json(cover(needs[0]), doc)
+        return jsonio.complex_from_json
+    if name.endswith(".cover.json"):
+        return jsonio.cover_from_json
+    if name.startswith("cone"):
+        return jsonio.cone_input_from_json
+    needs = NEEDS[name]
+    cs = cover(needs[0])
+    if name.endswith(".refinement.json"):
+        return partial(jsonio.refinement_from_json, cs)
+    if name.endswith(".tables.json"):
+        return partial(jsonio.tables_from_json, cs.space)
+    if len(needs) == 2:
+        return partial(jsonio.delta_map_from_json, cs, tables(*needs).target)
+    return partial(jsonio.canonical_map_from_json, cs)
 
 
 def spots(value, at=()):
@@ -131,10 +133,10 @@ def mutated(doc, at: list, op: str):
     return doc
 
 
-def outcome(name: str, doc):
-    """None when the reader accepts doc, else its refusal."""
+def outcome(read, doc):
+    """None when read accepts doc, else its refusal."""
     try:
-        read(name, doc)
+        read(doc)
     except Exception as err:  # the class itself is what is pinned
         if isinstance(err, SchemaError):
             return {"error": "SchemaError", "path": err.path, "message": err.reason}
@@ -145,13 +147,13 @@ def outcome(name: str, doc):
 def corpus() -> list:
     rows = []
     for path in sorted(INPUTS.glob("*.json")):
-        doc = load(path.name)
+        doc, read = load(path.name), reader(path.name)
         for at, op in mutations(path.name, doc):
             rows.append({
                 "document": path.name,
                 "at": at,
                 "op": op,
-                "outcome": outcome(path.name, mutated(doc, at, op)),
+                "outcome": outcome(read, mutated(doc, at, op)),
             })
     return rows
 

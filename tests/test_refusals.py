@@ -10,6 +10,7 @@ from polycover import (
     BarycentricPoint,
     CanonicalMap,
     CarrierMappingSequence,
+    CRefinement,
     SimplicialMap,
     bootstrap_skeletal_selection,
     carrier,
@@ -22,6 +23,8 @@ from polycover import (
     is_setvalued_selection,
     is_skeletal_selection,
     nerve,
+    ostrand_refine,
+    pad_levels,
     push_point,
     realize_map,
     refinement_map,
@@ -30,6 +33,7 @@ from polycover import (
     star_relation,
     star_set,
     validate_complex,
+    verify_c_refinement,
     vertex_selection,
     why_not_canonical,
     why_not_selection,
@@ -94,6 +98,10 @@ class TestSkeletalPredicates:
         with refused(InvalidArgument, "the input map is not a skeletal selection"):
             extend_skeletal_selection(bad, cs, phi)
 
+    def test_no_tables(self):
+        with refused(ArityError, "need at least one table"):
+            carrier_tables(edge_space(), 0, validate_complex([{"q"}]), [])
+
     def test_table_value_outside_the_target(self):
         e = edge_space()
         target = validate_complex([{"y1", "y2"}])
@@ -115,6 +123,13 @@ class TestCovers:
         e = edge_space()
         with refused(InvalidArgument, "element ids must be strings"):
             cover_sequence(e, [[(7, full_star(e, 0))]])
+
+    def test_a_family_count_other_than_kappa(self):
+        cs = vertex_star_cover(edge_space(), 1)
+        r = ostrand_refine(pad_levels(cs, 2), 1)
+        for families, kappa in ((r.families + r.families, 1), (r.families[:1], 2)):
+            with refused(InvalidArgument, "family count must equal kappa"):
+                verify_c_refinement(CRefinement(families, kappa, cs))
 
     def test_refinement_map_across_spaces(self):
         fine, coarse = vertex_star_cover(edge_space()), vertex_star_cover(tri_space())
