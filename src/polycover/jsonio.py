@@ -8,8 +8,9 @@ byte-identical outputs.
 Every reader walks its document through one private type, `_At`, a value
 with its path.  It alone formats paths (`$.field`, `[i]`, `['key']`) and
 raises the shape refusals ("expected an object", "expected an array",
-"expected a string", "expected a nonempty string", "expected an integer"),
-so each is a `SchemaError` at the path of the offending value.  The one
+"expected a string", "expected a nonempty string", "expected an integer",
+and the caller's message for an empty array), so each is a `SchemaError`
+at the path of the offending value.  The one
 reader of star-set families serves covers, which put every element at the
 working level, and refinements, whose elements carry their own level.
 
@@ -69,7 +70,8 @@ def dumps(payload: dict) -> str:
 
 
 class _At:
-    """A document value and its path."""
+    """A document value and its path: the one place that formats a path,
+    raises a shape refusal, or maps a library refusal to a SchemaError."""
 
     __slots__ = ("value", "path")
 
