@@ -15,7 +15,11 @@ subdivide, their carrier `b.of`, so stages are reproducible and maps
 across stages are well-defined.  A token is the 1-tuple of its simplex,
 hashed and compared in C by value.  A tower makes each token once, one per
 parent simplex, and every flag shares it; a token's label is built once,
-from its members' labels, and kept on it.
+from its members' labels, and kept on it.  `subdivide` looks up each
+parent facet's face tokens once, indexed by the mask of positions they
+take in the facet, and makes the facet's flags by picking the masks of
+each ordering's prefixes from a table computed once per facet size and
+call.  Adjacency (`neighbours`) is one pass over the facets.
 """
 
 from __future__ import annotations
@@ -62,12 +66,12 @@ def vlabel(v) -> str:
 
 def simplex_key(s: Simplex):
     """Sort key ordering simplices by dimension, then by vertex labels."""
-    return (len(s), sorted(vlabel(v) for v in s))
+    return (len(s), sorted(map(vlabel, s)))
 
 
 def simplex_label(s: Simplex) -> str:
     """Printable token for a simplex: its vertex labels joined by '|'."""
-    return "|".join(sorted(vlabel(v) for v in s))
+    return "|".join(sorted(map(vlabel, s)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,13 @@ class SimplicialComplex:
     @cached_property
     def neighbours(self) -> dict:
         """Each vertex -> the vertices joined to it by an edge."""
-        return {v: set().union(*fs) - {v} for v, fs in self._facets_at.items()}
+        out: dict = {v: set() for v in self.vertices}
+        for f in self.facets:
+            for v in f:
+                out[v] |= f
+        for v, near in out.items():
+            near.discard(v)
+        return out
 
     @cached_property
     def stars(self) -> dict:
@@ -180,8 +190,7 @@ def face_closure(sets: Iterable[Iterable[Vertex]]) -> frozenset:
     for raw in sets:
         s = tuple(raw)
         for r in range(1, len(s) + 1):
-            for sub in itertools.combinations(s, r):
-                out.add(frozenset(sub))
+            out.update(map(frozenset, itertools.combinations(s, r)))
     return frozenset(out)
 
 
@@ -237,7 +246,7 @@ class SimplicialMap:
 
     def image(self, s: Simplex) -> Simplex:
         try:
-            return frozenset(self.vertex_images[v] for v in s)
+            return frozenset(map(self.vertex_images.__getitem__, s))
         except KeyError as missing:
             raise IncompleteMap(
                 f"no image for vertex {vlabel(missing.args[0])}"
@@ -299,12 +308,24 @@ def subdivide(stage: SubdivisionStage) -> SubdivisionStage:
     New simplices are exactly the chains s0 ⊂ s1 ⊂ … ⊂ sk of current-stage
     simplices, each chain member replaced by its Barycenter token.  The
     maximal chains are the full flags of the facets: one per ordering of a
-    facet's vertices, made of the barycenters of its prefixes.
+    facet's vertices, made of the barycenters of its prefixes (see the
+    module docstring for how they are assembled).
     """
-    tokens = stage.complex.barycenters
-    flags = [
-        frozenset(tokens[frozenset(order[:i])] for i in range(1, len(order) + 1))
-        for f in stage.complex.facets
-        for order in itertools.permutations(f)
-    ]
+    tokens, facets = stage.complex.barycenters, stage.complex.facets
+    patterns = {k: _flag_patterns(k) for k in set(map(len, facets))}
+    flags = []
+    for f in facets:
+        masks, prefixes = patterns[len(f)]
+        faces = [tokens[frozenset(itertools.compress(f, mask))] for mask in masks]
+        flags += [frozenset(map(faces.__getitem__, p)) for p in prefixes]
     return SubdivisionStage(stage.level + 1, SimplicialComplex(flags))
+
+
+def _flag_patterns(k: int) -> tuple:
+    """For a k-vertex facet: the membership mask of each nonempty set of
+    positions, the one at index m - 1 for the positions of the bits of m,
+    and for each ordering of the positions, in `itertools.permutations`
+    order, the indexes of its prefixes' masks."""
+    masks = [[m >> i & 1 for i in range(k)] for m in range(1, 1 << k)]
+    orders = itertools.permutations(range(k))
+    return masks, [[m - 1 for m in itertools.accumulate(1 << i for i in o)] for o in orders]

@@ -19,7 +19,8 @@ sets alone, once per cover, kind and prefix (`CoverSequence.nerves`):
 a nerve's facets are the maximal facet hit sets.  One-per-level complexes
 are joins: the one-per-level subsets of a hit set are the faces of the
 join of its per-level parts, whose facets are the products taking one
-element from each level the hit set meets (`_products`).
+element from each level the hit set meets (`_products`); a hit set with
+one element per level is its own single product.
 Containment reads the same index: at one level, the elements containing
 a star-set are those holding every vertex of its core
 (`CoverSequence.containing`).  These caches, and the families pushed to
@@ -133,7 +134,7 @@ class CoverSequence:
         """The (id, n) of every element of the first kappa levels whose core,
         pushed to `level`, holds every vertex of the nonempty stage-`level`
         `core`: the elements containing the star-set with that core."""
-        held = [self.holders(kappa, level).get(v, ()) for v in core]
+        held = list(map(self.holders(kappa, level).get, core, itertools.repeat(())))
         return frozenset(held[0]).intersection(*held[1:])
 
 
@@ -226,7 +227,7 @@ def _hits(simplices, holders: dict) -> dict:
     shared: dict = {}
     out = {}
     for s in simplices:
-        hit = frozenset(h for v in s for h in holders.get(v, ()))
+        hit = frozenset().union(*map(holders.get, s, itertools.repeat(())))
         out[s] = shared.setdefault(hit, hit)
     return out
 
@@ -240,9 +241,13 @@ def _facet_hit_sets(cs: CoverSequence, kappa: int) -> set:
 
 def _products(hit) -> list:
     """The facets of the join of hit's per-level parts: each set taking one
-    element from every level that hit meets (none for an empty hit)."""
-    parts = [[e for e in hit if e[1] == n] for n in {n for _, n in hit}]
-    return [frozenset(p) for p in itertools.product(*parts)] if parts else []
+    element from every level that hit meets (none for an empty hit).  A
+    hit set with one element per level is its own single product."""
+    levels = {n for _, n in hit}
+    if len(levels) == len(hit):
+        return [hit] if hit else []
+    parts = [[e for e in hit if e[1] == n] for n in levels]
+    return [frozenset(p) for p in itertools.product(*parts)]
 
 
 def _indexed_nerve(cs: CoverSequence, kappa: int | None, kind: str) -> SimplicialComplex:

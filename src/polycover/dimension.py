@@ -71,17 +71,32 @@ def refinement_as_cover(r: CRefinement) -> CoverSequence:
     return cover_sequence(r.source.space, [list(f) for f in r.families])
 
 
+def check_families(r: CRefinement) -> None:
+    """Refuse a family count other than kappa, or a family that repeats
+    an element id, naming the first repeat."""
+    if len(r.families) != r.kappa:
+        raise InvalidArgument("family count must equal kappa")
+    for n, family in enumerate(r.families):
+        if len(dict(family)) < len(family):
+            seen: set = set()
+            eid = next(eid for eid, _ in family if eid in seen or seen.add(eid))
+            raise InvalidArgument(f"duplicate element id {eid!r} at level {n}")
+
+
 def verify_c_refinement(r: CRefinement) -> RefinementReport:
     """Check disjointness per family, per-level refinement, and coverage.
 
     All three checks are exact simplex combinatorics at a common level,
     to which every element and every coarse element is pushed once; the
     first violation is reported with a witness.  An overlap witness names
-    the least overlapping pair of elements in family order.  A family
-    count other than kappa is refused.
+    the least overlapping pair of elements in family order.  An element
+    is tested against candidates only: the level-n coarse elements that
+    the padded cover's `holders` at the common level list for one vertex
+    of its core.  A coarse element containing it holds every such vertex,
+    so no container is missed, and `star_subset` decides each candidate.
+    Refinements that `check_families` refuses are refused.
     """
-    if len(r.families) != r.kappa:
-        raise InvalidArgument("family count must equal kappa")
+    check_families(r)
     space = r.source.space
     stars = [star for family in r.families for _, star in family]
     level = max([r.source.working_level] + [star.level for star in stars])
@@ -98,11 +113,15 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
         ids = [pushed[n][i][0], pushed[n][j][0]]
         return RefinementReport(False, "overlap", {"level": n, "elements": ids})
 
-    coarse_rows = pad_levels(r.source, r.kappa).pushed(len(r.families), level)
+    padded = pad_levels(r.source, r.kappa)
+    holders = padded.holders(r.kappa, level)
+    rows = padded.pushed(r.kappa, level)
+    coarse = {(eid, n): star for n, row in enumerate(rows) for eid, star in row}
     for n, family in enumerate(pushed):
-        coarse = [star for _, star in coarse_rows[n]]
         for eid, star in family:
-            if not any(star_subset(star, c) for c in coarse):
+            core = star.core_vertices
+            held = holders.get(next(iter(core)), ()) if core else coarse
+            if not any(star_subset(star, coarse[c]) for c in held if c[1] == n):
                 return RefinementReport(
                     False, "not_a_refinement", {"level": n, "element": eid}
                 )
@@ -152,16 +171,11 @@ def ostrand_refine(
 
     mstar = cs.working_level + 1
     stage = cs.working_complex()
-    families = []
-    for k in range(n + 1):
-        row = []
-        for s in sorted(
-            (s for s in stage.simplices if len(s) == k + 1), key=simplex_key
-        ):
-            b = stage.barycenters[s]
-            row.append((vlabel(b), StarSet(space, mstar, frozenset([b]))))
-        families.append(tuple(row))
-    return CRefinement(tuple(families), n + 1, cs)
+    families: list = [[] for _ in range(n + 1)]
+    for s in sorted(stage.simplices, key=simplex_key):
+        b = stage.barycenters[s]
+        families[len(s) - 1].append((vlabel(b), StarSet(space, mstar, frozenset([b]))))
+    return CRefinement(tuple(map(tuple, families)), n + 1, cs)
 
 
 @dataclass(frozen=True)

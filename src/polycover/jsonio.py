@@ -46,7 +46,7 @@ from .covers import (
     delta_subcomplex,
     nerve,
 )
-from .dimension import CRefinement, MuReport, RefinementReport, SearchResult
+from .dimension import CRefinement, MuReport, RefinementReport, SearchResult, check_families
 from .errors import InvalidArgument, PolycoverError, SchemaError
 from .realization import (
     BarycentricPoint,
@@ -417,7 +417,9 @@ def refinement_from_json(cs: CoverSequence, data, path: str = "$") -> CRefinemen
     rows = doc.field("families")
     families = rows.entries()
     rows.check(len(families) == kappa, "family count must equal kappa")
-    return CRefinement(tuple(map(tuple, _families(cs.space, families, None))), kappa, cs)
+    r = CRefinement(tuple(map(tuple, _families(cs.space, families, None))), kappa, cs)
+    rows.build(InvalidArgument, check_families, r)
+    return r
 
 
 def report_to_json(report: RefinementReport) -> dict:

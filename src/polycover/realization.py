@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
 from .complexes import (
     SimplicialComplex,
@@ -270,7 +271,8 @@ def push_star(s: StarSet, target_level: int) -> StarSet:
     core = s.core_vertices
     for level in range(s.level, target_level):
         stage = s.space.stage_complex(level)
-        core = frozenset(stage.barycenters[t] for v in core for t in stage.stars[v])
+        faces = chain.from_iterable(map(stage.stars.__getitem__, core))
+        core = frozenset(map(stage.barycenters.__getitem__, faces))
     return StarSet(s.space, target_level, core)
 
 
@@ -302,7 +304,8 @@ def star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
         return StarRelation.S1_SUBSET_S2
     if b <= a:
         return StarRelation.S2_SUBSET_S1
-    overlap = not b.isdisjoint(_near(s1.space.stage_complex(level).neighbours, a))
+    adj = s1.space.stage_complex(level).neighbours
+    overlap = not a.isdisjoint(b) or not b.isdisjoint(_near(adj, a))
     return StarRelation.OVERLAPPING if overlap else StarRelation.DISJOINT
 
 

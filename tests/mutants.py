@@ -63,8 +63,8 @@ MUTANTS = [
     ),
     Mutant(
         COMPLEXES,
-        "for i in range(1, len(order) + 1))",
-        "for i in range(1, len(order)))",
+        "[m - 1 for m in itertools.accumulate(1 << i for i in o)]",
+        "[m - 1 for m in itertools.accumulate(1 << i for i in o)][:-1]",
         ("tests/test_facets.py::test_stage_facets_are_the_maximal_chains_below",
          "tests/test_acceptance.py::test_criterion_1_disjoint_levels_nerve_equality"),
         "a complex is its facets",
@@ -90,8 +90,8 @@ MUTANTS = [
     ),
     Mutant(
         COVERS,
-        "for p in itertools.product(*parts)] if parts else []",
-        "for p in itertools.product(*parts)]",
+        "        return [hit] if hit else []\n",
+        "        return [hit]\n",
         ("tests/test_covers.py::TestDeltaAtCarrier::"
          "test_a_carrier_the_prefix_misses_gets_the_empty_complex",),
         "a complex is its facets",
@@ -476,12 +476,37 @@ MUTANTS = [
     ),
     Mutant(
         COVERS,
-        "        hit = frozenset(h for v in s for h in holders.get(v, ()))\n",
+        "        hit = frozenset().union(*map(holders.get, s, itertools.repeat(())))\n",
         "        hit = frozenset(holders.get(next(iter(s)), ()))\n",
         ("tests/test_acceptance.py::test_criterion_2_prefix_cone_monotonicity",
          "tests/test_hit_index.py::test_nerves_and_one_per_level_complexes_match_oracles"),
         "ask holders once",
         "a hit set unites the holders of every vertex",
+    ),
+    # -- less Python per element ------------------------------------------
+    Mutant(
+        DIMENSION,
+        "for c in held if c[1] == n)",
+        "for c in held)",
+        ("tests/test_dimension.py::test_verifier_and_refinement_map_match_per_pair_reference",),
+        "less Python per element",
+        "a refinement element is tested against coarse elements of its own level",
+    ),
+    Mutant(
+        COVERS,
+        "    if len(levels) == len(hit):\n",
+        "    if len(levels) >= len(hit) - 1:\n",
+        ("tests/test_hit_index.py::test_nerves_and_one_per_level_complexes_match_oracles",),
+        "less Python per element",
+        "only a hit set with one element per level is its own single product",
+    ),
+    Mutant(
+        COMPLEXES,
+        "    orders = itertools.permutations(range(k))\n",
+        "    orders = list(itertools.permutations(range(k)))[: -1 if k == 3 else None]\n",
+        ("tests/test_facets.py::test_stage_facets_are_the_maximal_chains_below",),
+        "less Python per element",
+        "a facet gets one flag per ordering of its vertices",
     ),
 ]
 

@@ -151,6 +151,17 @@ CASES = {
         ["crefine", "verify", "--cover", "tri2.cover.json", "--refinement", "uncovered.refinement.json"],
         "predicate_result",
     ),
+    "verify-duplicate-id": (
+        [
+            "crefine",
+            "verify",
+            "--cover",
+            "tri3.cover.json",
+            "--refinement",
+            "duplicate_id.refinement.json",
+        ],
+        None,
+    ),
     "extract": (
         [
             "crefine",
@@ -384,6 +395,7 @@ INPUT_SCHEMAS = {
     "coarse.map.json": "canonical_map",
     "comma.cover.json": "cover_sequence",
     "duplicate_id.cover.json": "cover_sequence",
+    "duplicate_id.refinement.json": "refinement",
     "empty_id.cover.json": None,
     "empty_label.complex.json": None,
     "empty_simplex.tables.json": None,

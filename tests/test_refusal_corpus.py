@@ -44,6 +44,7 @@ DELETE = "delete"
 NEEDS = {
     "bad.map.json": ("rem.cover.json",),
     "coarse.map.json": ("rem.cover.json",),
+    "duplicate_id.refinement.json": ("tri3.cover.json",),
     "empty_simplex.tables.json": ("skeletal.cover.json",),
     "fine.delta.map.json": ("fine.cover.json",),
     "negative_level.map.json": ("rem.cover.json",),

@@ -27,6 +27,7 @@ from polycover import (
     pad_levels,
     push_point,
     realize_map,
+    refinement_as_cover,
     refinement_map,
     skeleton,
     stage_point,
@@ -130,6 +131,22 @@ class TestCovers:
         for families, kappa in ((r.families + r.families, 1), (r.families[:1], 2)):
             with refused(InvalidArgument, "family count must equal kappa"):
                 verify_c_refinement(CRefinement(families, kappa, cs))
+
+    def test_a_family_that_repeats_an_element_id(self):
+        """The verifier refuses what `refinement_as_cover` refuses, with the
+        same message, and the reader refuses it as a schema error."""
+        cs = vertex_star_cover(tri_space(), 3)
+        r = ostrand_refine(cs, 2)
+        (first, star), (_, second), *rest = r.families[0]
+        families = (((first, star), (first, second), *rest), *r.families[1:])
+        message = "duplicate element id 'b(a)' at level 0"
+        with refused(InvalidArgument, message):
+            refinement_as_cover(CRefinement(families, 3, cs))
+        with refused(InvalidArgument, message):
+            verify_c_refinement(CRefinement(families, 3, cs))
+        doc = jsonio.refinement_to_json(CRefinement(families, 3, cs))
+        with refused(SchemaError, f"$.families: {message}"):
+            jsonio.refinement_from_json(cs, doc)
 
     def test_refinement_map_across_spaces(self):
         fine, coarse = vertex_star_cover(edge_space()), vertex_star_cover(tri_space())
