@@ -15,11 +15,12 @@ subdivide, their carrier `b.of`, so stages are reproducible and maps
 across stages are well-defined.  A token is the 1-tuple of its simplex,
 hashed and compared in C by value.  A tower makes each token once, one per
 parent simplex, and every flag shares it; a token's label is built once,
-from its members' labels, and kept on it.  `subdivide` looks up each
-parent facet's face tokens once, indexed by the mask of positions they
-take in the facet, and makes the facet's flags by picking the masks of
-each ordering's prefixes from a table computed once per facet size and
-call.  Adjacency (`neighbours`) is one pass over the facets.
+from its members' sorted labels by `barycenter_label`, and kept on it.
+`subdivide` looks up each parent facet's face tokens once, indexed by
+the mask of positions they take in the facet, and makes the facet's
+flags by picking the masks of each ordering's prefixes from a table
+computed once per facet size and call.  Adjacency (`neighbours`) is one
+pass over the facets.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class Barycenter(tuple):
 
     @cached_property
     def label(self) -> str:
-        return "b(" + ",".join(sorted(map(vlabel, self.of))) + ")"
+        return barycenter_label(sorted(map(vlabel, self.of)))
 
     def __repr__(self) -> str:
         return self.label
@@ -62,6 +63,11 @@ def vlabel(v) -> str:
     if isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], int):
         return f"{v[0]}@{v[1]}"
     return str(v)
+
+
+def barycenter_label(names) -> str:
+    """The label of the barycenter of a simplex with these sorted vertex labels."""
+    return "b(" + ",".join(names) + ")"
 
 
 def simplex_key(s: Simplex):

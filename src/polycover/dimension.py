@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-from .complexes import check_simplicial_map, simplex_key, vlabel
+from .complexes import barycenter_label, check_simplicial_map, simplex_key, vlabel
 from .covers import (
     DELTA,
     CoverSequence,
@@ -97,10 +97,8 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
     Refinements that `check_families` refuses are refused.
     """
     check_families(r)
-    space = r.source.space
-    stars = [star for family in r.families for _, star in family]
-    level = max([r.source.working_level] + [star.level for star in stars])
-    stage = space.stage_complex(level)
+    level = max([r.source.working_level] + [star.level for f in r.families for _, star in f])
+    stage = r.source.space.stage_complex(level)
 
     pushed = [
         [(eid, push_star(star, level)) for eid, star in family]
@@ -169,12 +167,11 @@ def ostrand_refine(
             f"beyond the max level {max_level}"
         )
 
-    mstar = cs.working_level + 1
     stage = cs.working_complex()
     families: list = [[] for _ in range(n + 1)]
-    for s in sorted(stage.simplices, key=simplex_key):
-        b = stage.barycenters[s]
-        families[len(s) - 1].append((vlabel(b), StarSet(space, mstar, frozenset([b]))))
+    for (size, names), s in sorted(zip(map(simplex_key, stage.simplices), stage.simplices)):
+        star = StarSet(space, cs.working_level + 1, frozenset([stage.barycenters[s]]))
+        families[size - 1].append((barycenter_label(names), star))
     return CRefinement(tuple(map(tuple, families)), n + 1, cs)
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from typing import NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -221,8 +222,7 @@ def push_point(
     return q
 
 
-@dataclass(frozen=True)
-class StarSet:
+class StarSet(NamedTuple):
     """A union of open vertex stars at a fixed subdivision level."""
 
     space: PolyhedralSpace
@@ -293,7 +293,7 @@ def star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
     two overlap iff the cores share a vertex or an edge joins them: a
     simplex meeting both holds u in one, w in the other, and the face {u, w}.
     """
-    if s1.space != s2.space:
+    if s1.space is not s2.space and s1.space != s2.space:
         raise InvalidArgument("star-sets live on different spaces")
     level = max(s1.level, s2.level)
     a = push_star(s1, level).core_vertices
@@ -304,15 +304,9 @@ def star_relation(s1: StarSet, s2: StarSet) -> StarRelation:
         return StarRelation.S1_SUBSET_S2
     if b <= a:
         return StarRelation.S2_SUBSET_S1
-    adj = s1.space.stage_complex(level).neighbours
-    overlap = not a.isdisjoint(b) or not b.isdisjoint(_near(adj, a))
+    near = chain.from_iterable(map(s1.space.stage_complex(level).neighbours.get, a, repeat(())))
+    overlap = not a.isdisjoint(b) or not b.isdisjoint(near)
     return StarRelation.OVERLAPPING if overlap else StarRelation.DISJOINT
-
-
-def _near(adj: dict, core) -> set:
-    """The stage vertices in core or joined to it by an edge of `adj`: a core
-    meets some stage simplex that meets this one iff it meets this set."""
-    return (adj.keys() & core).union(*(adj.get(u, ()) for u in core))
 
 
 def _least_overlap(stage: SimplicialComplex, families: list) -> tuple | None:
@@ -324,10 +318,16 @@ def _least_overlap(stage: SimplicialComplex, families: list) -> tuple | None:
     vertex or they hold the two ends of a stage edge.  So the least pair
     is the least of the first two holders of each vertex and the first
     holders of each edge's two ends, where these differ: any other pair
-    across an edge is no less than one of those.  A vertex none of whose
-    neighbours is held is skipped without a walk over them."""
+    across an edge is no less than one of those.  A family whose cores
+    are pairwise disjoint and whose held vertices no edge joins is passed
+    at once, and a vertex none of whose neighbours is held is skipped
+    without a walk over them."""
     adj = stage.neighbours
     for n, cores in enumerate(families):
+        union = frozenset().union(*cores)
+        near = chain.from_iterable(map(adj.get, union, repeat(())))
+        if sum(map(len, cores)) == len(union) and union.isdisjoint(near):
+            continue
         held: dict = {}
         for i, core in enumerate(cores):
             for v in core:

@@ -508,6 +508,41 @@ MUTANTS = [
         "less Python per element",
         "a facet gets one flag per ordering of its vertices",
     ),
+    Mutant(
+        REALIZATION,
+        "        if sum(map(len, cores)) == len(union) and union.isdisjoint(near):\n",
+        "        if union.isdisjoint(near):\n",
+        ("tests/test_hit_index.py::test_least_overlap_on_refinement_families_matches_sweep",
+         "tests/test_dimension.py::test_verifier_and_refinement_map_match_per_pair_reference"),
+        "less Python per element",
+        "a family passes the overlap check at once only if no vertex has two holders",
+    ),
+    Mutant(
+        REALIZATION,
+        "        if sum(map(len, cores)) == len(union) and union.isdisjoint(near):\n",
+        "        if sum(map(len, cores)) == len(union):\n",
+        ("tests/test_hit_index.py::test_least_overlap_matches_sweep",
+         "tests/test_dimension.py::TestVerify::test_overlap_is_caught_with_witness"),
+        "less Python per element",
+        "a family passes the overlap check at once only if no edge joins two held vertices",
+    ),
+    Mutant(
+        DIMENSION,
+        "families[size - 1].append((barycenter_label(names), star))",
+        "families[size - 1].append((barycenter_label(names[::-1]), star))",
+        ("tests/test_dimension.py::TestOstrand::test_edge_whole_cover",
+         "tests/test_golden.py::test_cli_output_matches_golden[construct]"),
+        "less Python per element",
+        "a constructed element's id is its barycenter's label, from the sorted vertex labels",
+    ),
+    Mutant(
+        REALIZATION,
+        "    if s1.space is not s2.space and s1.space != s2.space:\n",
+        "    if s1.space is not s2.space:\n",
+        ("tests/test_dimension.py::TestSearch::test_found_extends_to_larger_kappa",),
+        "less Python per element",
+        "star-sets on equal spaces are compared, whether or not the spaces are one object",
+    ),
 ]
 
 # (origin, what the mutant did, why it no longer applies)
