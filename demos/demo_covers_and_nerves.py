@@ -50,7 +50,7 @@ show(delta_subcomplex(cs, 2), "one-per-level subcomplex")
 # Every point of the space sees a sub-collection: the simplices whose kernel
 # contains it.  Points only know their carrier, so that value is indexed by
 # working-stage simplices.
-m = cs.space.vertex_named(1, "b(a,b)")
+m = cs.space.vertex_at(1, "b(a,b)")
 show(delta_at_carrier(cs, 2, frozenset({m})), "value at the midpoint carrier")
 
 # Why index by (element, level) pairs rather than by raw point sets?  P and Q

@@ -20,7 +20,6 @@ from .complexes import (
     cone,
     coned,
     face_closure,
-    identity_map,
     initial_stage,
     maximal_simplices,
     simplex_key,

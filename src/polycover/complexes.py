@@ -275,7 +275,8 @@ def check_simplicial_map(m: SimplicialMap) -> bool:
     any facet holding it, so the source facets decide.
     """
     check_complete(m)
-    return all(m.image(s) in m.target for s in m.source.facets)
+    images = m.vertex_images.__getitem__
+    return all(frozenset(map(images, s)) in m.target for s in m.source.facets)
 
 
 def compose_maps(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
@@ -284,10 +285,6 @@ def compose_maps(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
         raise ComposeError("inner target differs from outer source")
     images = {v: outer.vertex_images[w] for v, w in inner.vertex_images.items()}
     return SimplicialMap(inner.source, outer.target, images)
-
-
-def identity_map(c: SimplicialComplex) -> SimplicialMap:
-    return SimplicialMap(c, c, {v: v for v in c.vertices})
 
 
 @dataclass(frozen=True)

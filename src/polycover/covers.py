@@ -152,23 +152,29 @@ def cover_sequence(space: PolyhedralSpace, levels) -> CoverSequence:
             if star.space != space:
                 raise InvalidArgument("star-set belongs to a different space")
             working = max(working, star.level)
+    _check_ids(levels)
     normalized = []
-    for n, family in enumerate(levels):
-        seen = set()
-        row = []
-        for eid, star in family:
-            if not isinstance(eid, str):
-                raise InvalidArgument("element ids must be strings")
-            if eid in seen:
-                raise InvalidArgument(f"duplicate element id {eid!r} at level {n}")
-            seen.add(eid)
-            row.append((eid, push_star(star, working)))
+    for family in levels:
+        row = [(eid, push_star(star, working)) for eid, star in family]
         normalized.append(tuple(sorted(row, key=lambda e: e[0])))
     cores = (star.core_vertices for family in normalized for _, star in family)
     missing = uncovered_vertex(space.stage_complex(working), cores)
     if missing is not None:
         raise NoCoverage(f"vertex {vlabel(missing)} lies in no cover element")
     return CoverSequence(space, working, tuple(normalized))
+
+
+def _check_ids(levels) -> None:
+    """Refuse an element id that is not a string, or one that repeats an
+    earlier id of its level, at the first offender in family order."""
+    for n, family in enumerate(levels):
+        seen = set()
+        for eid, _ in family:
+            if not isinstance(eid, str):
+                raise InvalidArgument("element ids must be strings")
+            if eid in seen:
+                raise InvalidArgument(f"duplicate element id {eid!r} at level {n}")
+            seen.add(eid)
 
 
 def uncovered_vertex(stage: SimplicialComplex, cores):

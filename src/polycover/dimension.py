@@ -21,6 +21,7 @@ from .complexes import barycenter_label, check_simplicial_map, simplex_key, vlab
 from .covers import (
     DELTA,
     CoverSequence,
+    _check_ids,
     cover_sequence,
     level_covers,
     pad_levels,
@@ -72,15 +73,11 @@ def refinement_as_cover(r: CRefinement) -> CoverSequence:
 
 
 def check_families(r: CRefinement) -> None:
-    """Refuse a family count other than kappa, or a family that repeats
-    an element id, naming the first repeat."""
+    """Refuse a family count other than kappa, then any element id that
+    `cover_sequence` refuses, with its message."""
     if len(r.families) != r.kappa:
         raise InvalidArgument("family count must equal kappa")
-    for n, family in enumerate(r.families):
-        if len(dict(family)) < len(family):
-            seen: set = set()
-            eid = next(eid for eid, _ in family if eid in seen or seen.add(eid))
-            raise InvalidArgument(f"duplicate element id {eid!r} at level {n}")
+    _check_ids(r.families)
 
 
 def verify_c_refinement(r: CRefinement) -> RefinementReport:

@@ -1,9 +1,8 @@
 """JSON and DOT serialization for every interchange format, plus the
 path-precise input readers backing the command line.
 
-All emitters are deterministic: collections are sorted canonically and
-rationals are printed as decimal-free strings, so identical inputs give
-byte-identical outputs.
+All emitters are deterministic: collections are sorted canonically, so
+identical inputs give byte-identical outputs.
 
 Every reader walks its document through one private type, `_At`, a value
 with its path.  It alone formats paths (`$.field`, `[i]`, `['key']`) and
@@ -16,9 +15,9 @@ working level, and refinements, whose elements carry their own level.
 
 A library refusal becomes a `SchemaError` at the path of the value it
 concerns only where a reader builds from labels or elements: an
-`InvalidArgument` from `star_set`, `stage_point` or
-`PolyhedralSpace.vertex_named`, and any `PolycoverError` from
-`cover_sequence` or `carrier_tables`.  Everything else escapes as itself:
+`InvalidArgument` from `star_set`, `PolyhedralSpace.vertex_at` or
+`check_families`, and any `PolycoverError` from `cover_sequence` or
+`carrier_tables`.  Everything else escapes as itself:
 a level that names no stage is refused as a level (`InvalidArgument`)
 before any label is read at it, and an internal error is never reported
 as a schema error.
@@ -27,8 +26,6 @@ as a schema error.
 from __future__ import annotations
 
 import json
-import re
-from fractions import Fraction
 
 from .complexes import (
     SimplicialComplex,
@@ -48,18 +45,10 @@ from .covers import (
 )
 from .dimension import CRefinement, MuReport, RefinementReport, SearchResult, check_families
 from .errors import InvalidArgument, PolycoverError, SchemaError
-from .realization import (
-    BarycentricPoint,
-    PolyhedralSpace,
-    StarSet,
-    stage_point,
-    star_set,
-)
+from .realization import PolyhedralSpace, StarSet, star_set
 from .selections import CanonicalMap, CarrierMappingSequence, carrier_tables
 
 SCHEMA_VERSION = 1
-
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def dumps(payload: dict) -> str:
@@ -149,8 +138,8 @@ def _complex(at: _At) -> SimplicialComplex:
     return _faces(at.field("maximal_simplices"), "needs at least one simplex")
 
 
-def complex_from_json(data, path: str = "$") -> SimplicialComplex:
-    return _complex(_At(data, path))
+def complex_from_json(data) -> SimplicialComplex:
+    return _complex(_At(data, "$"))
 
 
 def _to_dot(c: SimplicialComplex, name: str, caption: str) -> str:
@@ -174,35 +163,7 @@ def complex_to_dot(c: SimplicialComplex) -> str:
     return _to_dot(c, "complex", "")
 
 
-# -- points and star-sets ----------------------------------------------------
-
-def point_to_json(p: BarycentricPoint) -> dict:
-    return {
-        "level": p.level,
-        "coords": {vlabel(v): str(Fraction(c)) for v, c in p.coords.items() if c},
-    }
-
-
-def point_from_json(space: PolyhedralSpace, data, path: str = "$") -> BarycentricPoint:
-    doc = _At(data, path)
-    level = doc.field("level").integer()
-    coords = doc.field("coords")
-    parsed = {}
-    for key, value in coords.items():
-        text = value.string()
-        value.check(_RATIONAL.match(text), "rationals are decimal-free strings like '1/3'")
-        value.check(int(text.partition("/")[2] or 1) != 0, "a denominator must be nonzero")
-        parsed[key] = Fraction(text)
-    space.stage(level)
-    return coords.build(InvalidArgument, stage_point, space, level, parsed)
-
-
-def star_set_to_json(s: StarSet) -> dict:
-    return {
-        "level": s.level,
-        "stars": sorted(vlabel(v) for v in s.core_vertices),
-    }
-
+# -- star-set families -------------------------------------------------------
 
 def _star_set(space: PolyhedralSpace, at: _At, level: int | None) -> StarSet:
     """The star-set named by the `stars` labels of at, at `level`, or at
@@ -214,10 +175,6 @@ def _star_set(space: PolyhedralSpace, at: _At, level: int | None) -> StarSet:
     names = stars.strs()
     space.stage(level)
     return stars.build(InvalidArgument, star_set, space, level, names)
-
-
-def star_set_from_json(space: PolyhedralSpace, data, path: str = "$") -> StarSet:
-    return _star_set(space, _At(data, path), None)
 
 
 def _families(space: PolyhedralSpace, rows: list, level: int | None) -> list:
@@ -245,8 +202,8 @@ def cover_to_json(cs: CoverSequence) -> dict:
     }
 
 
-def cover_from_json(data, path: str = "$") -> CoverSequence:
-    doc = _At(data, path)
+def cover_from_json(data) -> CoverSequence:
+    doc = _At(data, "$")
     space = PolyhedralSpace(_complex(doc.field("space")))
     level = doc.field("working_level").integer()
     levels = doc.field("levels")
@@ -307,10 +264,8 @@ def canonical_map_to_json(f: CanonicalMap) -> dict:
     }
 
 
-def canonical_map_from_json(
-    cs: CoverSequence, data, path: str = "$", kappa: int | None = None
-) -> CanonicalMap:
-    doc = _At(data, path)
+def canonical_map_from_json(cs: CoverSequence, data, kappa: int | None = None) -> CanonicalMap:
+    doc = _At(data, "$")
     level = doc.field("subdivision_level").integer()
     kind = doc.field("target_kind", DELTA)
     kind.check(kind.value in ("delta", "full_nerve"), "must be 'delta' or 'full_nerve'")
@@ -319,7 +274,7 @@ def canonical_map_from_json(
     images = {}
     for name, row in rows:
         image = _cover_vertex(row)
-        images[row.build(InvalidArgument, cs.space.vertex_named, level, name)] = image
+        images[row.build(InvalidArgument, cs.space.vertex_at, level, name)] = image
     target = delta_subcomplex(cs, kappa) if kind.value == DELTA else nerve(cs, kappa)
     return CanonicalMap(level, SimplicialMap(stage, target, images), kind.value)
 
@@ -333,10 +288,8 @@ def delta_map_to_json(f: SimplicialMap) -> dict:
     }
 
 
-def delta_map_from_json(
-    cs: CoverSequence, target: SimplicialComplex, data, path: str = "$"
-) -> SimplicialMap:
-    rows = _At(data, path).field("vertex_images").entries()
+def delta_map_from_json(cs: CoverSequence, target: SimplicialComplex, data) -> SimplicialMap:
+    rows = _At(data, "$").field("vertex_images").entries()
     elements = {(eid, n) for eid, n, _ in cs.elements()}
     images = {}
     for row in rows:
@@ -370,10 +323,8 @@ def tables_to_json(phi: CarrierMappingSequence) -> dict:
     }
 
 
-def tables_from_json(
-    space: PolyhedralSpace, data, path: str = "$"
-) -> CarrierMappingSequence:
-    doc = _At(data, path)
+def tables_from_json(space: PolyhedralSpace, data) -> CarrierMappingSequence:
+    doc = _At(data, "$")
     level = doc.field("level").integer()
     target = _complex(doc.field("target"))
     witness = doc.field("cone_witness")
@@ -411,13 +362,11 @@ def refinement_to_json(r: CRefinement) -> dict:
     }
 
 
-def refinement_from_json(cs: CoverSequence, data, path: str = "$") -> CRefinement:
-    doc = _At(data, path)
+def refinement_from_json(cs: CoverSequence, data) -> CRefinement:
+    doc = _At(data, "$")
     kappa = doc.field("kappa").integer()
     rows = doc.field("families")
-    families = rows.entries()
-    rows.check(len(families) == kappa, "family count must equal kappa")
-    r = CRefinement(tuple(map(tuple, _families(cs.space, families, None))), kappa, cs)
+    r = CRefinement(tuple(map(tuple, _families(cs.space, rows.entries(), None))), kappa, cs)
     rows.build(InvalidArgument, check_families, r)
     return r
 
@@ -477,8 +426,8 @@ def mu_report_to_json(report: MuReport) -> dict:
 
 # -- cone extension input ----------------------------------------------------
 
-def cone_input_from_json(data, path: str = "$") -> dict:
-    doc = _At(data, path)
+def cone_input_from_json(data) -> dict:
+    doc = _At(data, "$")
     source = _complex(doc.field("source"))
     target = _complex(doc.field("target"))
     images = {}

@@ -108,18 +108,14 @@ class PolyhedralSpace:
 
     def vertex_at(self, level: int, key):
         """The stage vertex with this id, or else with this label."""
-        if key in self.stage_complex(level).vertices:
+        stage = self.stage_complex(level)
+        if key in stage.vertices:
             return key
-        if isinstance(key, str):
-            return self.vertex_named(level, key)
-        raise InvalidArgument(f"{key!r} is not a vertex of stage {level}")
-
-    def vertex_named(self, level: int, label: str):
-        """Resolve a printable vertex label at the given stage."""
-        try:
-            return self.stage_complex(level).by_label[label]
-        except KeyError:
-            raise InvalidArgument(f"no vertex labelled {label!r} at level {level}") from None
+        if not isinstance(key, str):
+            raise InvalidArgument(f"{key!r} is not a vertex of stage {level}")
+        if key not in stage.by_label:
+            raise InvalidArgument(f"no vertex labelled {key!r} at level {level}")
+        return stage.by_label[key]
 
     def __eq__(self, other) -> bool:
         return self is other or (

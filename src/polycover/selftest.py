@@ -109,7 +109,7 @@ def check_carrier_partition() -> None:
     _check(carrier(mid) == frozenset({"a", "b"}), "midpoint carrier is the edge")
     lifted = push_point(e, mid, 1)
     _check(
-        carrier(lifted) == frozenset({e.vertex_named(1, "b(a,b)")}),
+        carrier(lifted) == frozenset({e.vertex_at(1, "b(a,b)")}),
         "midpoint lifts to the barycenter vertex",
     )
     sp = tri_space()
@@ -122,7 +122,7 @@ def check_star_pushdown() -> None:
     e = edge_space()
     s = star_set(e, 0, ["a"])
     pushed = push_star(s, 1)
-    expected = {e.vertex_named(1, "b(a)"), e.vertex_named(1, "b(a,b)")}
+    expected = {e.vertex_at(1, "b(a)"), e.vertex_at(1, "b(a,b)")}
     _check(pushed.core_vertices == frozenset(expected), "pushed star core")
     p = stage_point(e, 0, {"a": Fraction(3, 4), "b": Fraction(1, 4)})
     _check(
@@ -138,7 +138,7 @@ def check_star_pushdown() -> None:
 def check_kernels() -> None:
     cs = rem_cover()
     witness = kernel_query(cs, [("P", 0), ("Q", 1)])
-    m = cs.space.vertex_named(1, "b(a,b)")
+    m = cs.space.vertex_at(1, "b(a,b)")
     _check(witness is not None and m in witness, "overlap witnessed at the midpoint")
     _check(kernel_query(cs, [("Q'", 0), ("P'", 1)]) is None, "end stars are disjoint")
     _check(

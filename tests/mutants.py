@@ -107,8 +107,8 @@ MUTANTS = [
     ),
     Mutant(
         REALIZATION,
-        '        raise InvalidArgument(f"{key!r} is not a vertex of stage {level}")\n',
-        "        return key\n",
+        '            raise InvalidArgument(f"{key!r} is not a vertex of stage {level}")\n',
+        "            return key\n",
         ("tests/test_refusals.py::TestCoordinates::test_a_key_that_is_no_stage_vertex",
          "tests/test_refusals.py::TestStarSetsAndCones::test_star_set_key_that_is_no_stage_vertex"),
         "a complex is its facets",
@@ -157,18 +157,11 @@ MUTANTS = [
         JSONIO,
         "    space.stage(level)\n    return stars.build(InvalidArgument, star_set,",
         "    return stars.build(InvalidArgument, star_set,",
-        ("tests/test_golden.py::test_cli_output_matches_golden[cover-negative-level]",),
+        ("tests/test_golden.py::test_cli_output_matches_golden[cover-negative-level]",
+         "tests/test_jsonio_cli.py::TestSchemaErrors::"
+         "test_a_negative_level_is_refused_as_a_level[star_set]"),
         "every refusal a PolycoverError",
         "a star-set reader refuses a negative level as a level",
-    ),
-    Mutant(
-        JSONIO,
-        "    space.stage(level)\n    return coords.build(InvalidArgument, stage_point,",
-        "    return coords.build(InvalidArgument, stage_point,",
-        ("tests/test_jsonio_cli.py::TestSchemaErrors::"
-         "test_a_negative_level_is_refused_as_a_level[point]",),
-        "every refusal a PolycoverError",
-        "the point reader refuses a negative level as a level",
     ),
     Mutant(
         JSONIO,
@@ -203,7 +196,7 @@ MUTANTS = [
         'f"{self.path}[{key!r}]"',
         'f"{self.path}.{key}"',
         ("tests/test_jsonio_cli.py::TestSchemaErrors::test_image_keys_must_be_source_vertices",
-         "tests/test_jsonio_cli.py::TestSchemaErrors::test_zero_denominator_is_refused"),
+         "tests/test_refusals.py::TestCoordinates::test_an_unknown_label_in_a_map_document"),
         "one reader for every document",
         "an object entry's path is ['key']",
     ),
@@ -277,8 +270,8 @@ MUTANTS = [
     # -- nerves and map checks from facets --------------------------------
     Mutant(
         COMPLEXES,
-        "    return all(m.image(s) in m.target for s in m.source.facets)\n",
-        "    return all(m.image(s) in m.target for s in m.source.facets"
+        "    return all(frozenset(map(images, s)) in m.target for s in m.source.facets)\n",
+        "    return all(frozenset(map(images, s)) in m.target for s in m.source.facets"
         " if len(s) == m.source.dim + 1)\n",
         ("tests/test_facets.py::test_a_map_whose_only_bad_image_is_one_edge_is_refused",
          "tests/test_facets.py::test_check_simplicial_map_matches_all_simplex_oracle"),
@@ -439,9 +432,8 @@ MUTANTS = [
     ),
     Mutant(
         COMPLEXES,
-        "    check_complete(m)\n    return all(m.image(s) in m.target for s in m.source.facets)\n",
-        "    return all(m.image(s) in m.target for s in m.source.facets"
-        " if s <= m.vertex_images.keys())\n",
+        "    check_complete(m)\n    images = m.vertex_images.__getitem__\n",
+        "    images = m.vertex_images.get\n",
         ("tests/test_facets.py::test_a_vertex_with_no_image_is_still_refused",
          "tests/test_complexes.py::TestSimplicialMaps::test_partial_map_rejected"),
         "one home for each value",
@@ -543,6 +535,16 @@ MUTANTS = [
         "less Python per element",
         "star-sets on equal spaces are compared, whether or not the spaces are one object",
     ),
+    # -- one way in ---------------------------------------------------------
+    Mutant(
+        COVERS,
+        "            if not isinstance(eid, str):\n"
+        '                raise InvalidArgument("element ids must be strings")\n',
+        "",
+        ("tests/test_refusals.py::TestCovers::test_a_family_whose_element_id_is_not_a_string",),
+        "one way in",
+        "covers and refinements refuse an element id that is not a string",
+    ),
 ]
 
 # (origin, what the mutant did, why it no longer applies)
@@ -579,6 +581,10 @@ RETIRED = [
     ("nerves and map checks from facets",
      "the linear `facets` rule skips edges",
      "the rule is gone: a complex stores its facets and never derives them"),
+    ("every refusal a PolycoverError",
+     "the point reader loses `space.stage(level)` before its mapped call",
+     "the point document and its reader are gone; the star-set reader's "
+     "mutant guards the same rule, levels before labels"),
     ("one holders index per cover",
      "`max` for `min` in `refinement_map`",
      "the same mutant as 'the refinement map picks the least-id coarse "

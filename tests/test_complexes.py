@@ -12,7 +12,6 @@ from polycover import (
     cone,
     coned,
     face_closure,
-    identity_map,
     initial_stage,
     skeleton,
     subdivide,
@@ -164,7 +163,8 @@ class TestSubdivide:
 
 class TestSimplicialMaps:
     def test_identity_is_simplicial(self):
-        assert check_simplicial_map(identity_map(f_tri()))
+        c = f_tri()
+        assert check_simplicial_map(SimplicialMap(c, c, {v: v for v in c.vertices}))
 
     def test_non_simplicial_projection(self):
         target = validate_complex([{"a"}, {"b"}])

@@ -91,7 +91,7 @@ class TestKernelQuery:
     def test_overlap_witness_contains_midpoint(self):
         cs = rem_cover()
         w = kernel_query(cs, [("P", 0), ("Q", 1)])
-        assert w is not None and cs.space.vertex_named(1, "b(a,b)") in w
+        assert w is not None and cs.space.vertex_at(1, "b(a,b)") in w
 
     def test_disjoint_pair_is_empty(self):
         cs = rem_cover()
@@ -181,13 +181,13 @@ class TestDeltaSubcomplex:
 class TestDeltaAtCarrier:
     def test_midpoint_carrier_sees_cross_level_pair(self):
         cs = rem_cover()
-        m = cs.space.vertex_named(1, "b(a,b)")
+        m = cs.space.vertex_at(1, "b(a,b)")
         value = delta_at_carrier(cs, 2, fs(m))
         assert fs(("P", 0), ("Q", 1)) in value.simplices
 
     def test_end_vertex_sees_only_its_side(self):
         cs = rem_cover()
-        a = cs.space.vertex_named(1, "b(a)")
+        a = cs.space.vertex_at(1, "b(a)")
         value = delta_at_carrier(cs, 2, fs(a))
         assert value.simplices == {
             fs(("P", 0)),

@@ -176,13 +176,17 @@ def test_check_simplicial_map_reads_source_facets_only(monkeypatch):
     target = tri_space().stage_complex(1)
     images = {b: min(b.of, key=vlabel) for b in source.vertices}
     seen = []
-    image = SimplicialMap.image
-    monkeypatch.setattr(
-        SimplicialMap, "image", lambda m, s: seen.append(s) or image(m, s)
-    )
+    contains = SimplicialComplex.__contains__
+
+    def spy(c, s):
+        if c is target:
+            seen.append(s)
+        return contains(c, s)
+
+    monkeypatch.setattr(SimplicialComplex, "__contains__", spy)
     assert check_simplicial_map(SimplicialMap(source, target, images))
     assert len(seen) == len(source.facets) == 36
-    assert set(seen) == source.facets
+    assert set(seen) == {frozenset(images[v] for v in f) for f in source.facets}
 
 
 def test_a_vertex_with_no_image_is_still_refused():

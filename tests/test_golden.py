@@ -487,6 +487,14 @@ def test_golden_inputs_conform_to_schemas(validators):
             assert schema_errors(validators[schema], doc) == [], name
 
 
+def test_every_schema_is_used_by_a_golden_case_or_input():
+    """A schema that no golden output or input is checked against pins
+    nothing: a format arrives with a reader or an emitter and a case."""
+    used = {schema for _, schema in CASES.values()} | set(INPUT_SCHEMAS.values())
+    unused = {p.name for p in SCHEMAS.iterdir()} - {f"{s}.schema.json" for s in used}
+    assert unused == set()
+
+
 # cases whose message once followed set iteration order, so the hash seed
 SEED_CASES = [
     "selection-skeletal-incomplete",

@@ -52,21 +52,6 @@ class TestRoundTrips:
         ]
         assert nerve(again, 3) == nerve(cs, 3)
 
-    def test_point(self):
-        e = edge_space()
-        from fractions import Fraction
-        from polycover import stage_point
-
-        p = stage_point(e, 0, {"a": Fraction(1, 3), "b": Fraction(2, 3)})
-        data = jsonio.point_to_json(p)
-        assert data == {"level": 0, "coords": {"a": "1/3", "b": "2/3"}}
-        assert jsonio.point_from_json(e, data) == p
-
-    def test_star_set(self):
-        e = edge_space()
-        s = star_set(e, 1, ["b(a)", "b(a,b)"])
-        assert jsonio.star_set_from_json(e, jsonio.star_set_to_json(s)) == s
-
     def test_canonical_map(self):
         cs = rem_cover()
         f = build_canonical(cs, 2, "full_nerve")
@@ -112,17 +97,14 @@ class TestSchemaErrors:
             jsonio.complex_from_json({"maximal_simplices": [[]]})
         assert "maximal_simplices[0]" in err.value.path
 
-    def test_bad_coordinate_string(self):
-        e = edge_space()
-        with pytest.raises(SchemaError) as err:
-            jsonio.point_from_json(e, {"level": 0, "coords": {"a": "0.5"}})
-        assert "coords" in err.value.path
-
     def test_unknown_star_label(self):
-        e = edge_space()
+        doc = {"space": {"maximal_simplices": [["a", "b"]]}, "working_level": 0,
+               "levels": [[{"id": "A", "stars": ["a", "zz"]}]]}
         with pytest.raises(SchemaError) as err:
-            jsonio.star_set_from_json(e, {"level": 0, "stars": ["zz"]})
-        assert err.value.path.endswith(".stars")
+            jsonio.cover_from_json(doc)
+        assert (err.value.path, err.value.reason) == (
+            "$.levels[0][0].stars", "no vertex labelled 'zz' at level 0"
+        )
 
     @pytest.mark.parametrize(
         "read, doc, path",
@@ -137,33 +119,12 @@ class TestSchemaErrors:
              {"space": {"maximal_simplices": [["a"]]}, "working_level": 0,
               "levels": [[{"id": "A", "stars": [""]}]]},
              "$.levels[0][0].stars[0]"),
-            (lambda doc: jsonio.star_set_from_json(edge_space(), doc),
-             {"level": 0, "stars": [""]}, "$.stars[0]"),
         ],
     )
     def test_empty_labels_and_ids_are_refused(self, read, doc, path):
         with pytest.raises(SchemaError) as err:
             read(doc)
         assert (err.value.path, err.value.reason) == (path, "expected a nonempty string")
-
-    @pytest.mark.parametrize("value", ["1/0", "-2/00", "0/0"])
-    def test_zero_denominator_is_refused(self, value):
-        doc = {"level": 0, "coords": {"a": "1/2", "b": value}}
-        with pytest.raises(SchemaError) as err:
-            jsonio.point_from_json(edge_space(), doc)
-        assert (err.value.path, err.value.reason) == (
-            "$.coords['b']", "a denominator must be nonzero"
-        )
-
-    def test_point_schema_refuses_zero_denominators(self):
-        jsonschema = pytest.importorskip("jsonschema")
-        schema = json.loads(
-            (Path(__file__).parent.parent / "schemas" / "point.schema.json").read_text()
-        )
-        for value, ok in (("1/0", False), ("3/00", False), ("1/3", True), ("2/10", True),
-                          ("-1/03", True), ("7", True)):
-            doc = {"level": 0, "coords": {"a": value}}
-            assert jsonschema.Draft202012Validator(schema).is_valid(doc) == ok, value
 
     def test_image_keys_must_be_source_vertices(self):
         doc = json.loads((GOLDEN_INPUTS / "cone.json").read_text())
@@ -210,16 +171,20 @@ class TestSchemaErrors:
     @pytest.mark.parametrize(
         "read",
         [
-            lambda: jsonio.point_from_json(edge_space(), {"level": -1, "coords": {"a": "1"}}),
-            lambda: jsonio.star_set_from_json(edge_space(), {"level": -1, "stars": ["a"]}),
+            lambda: jsonio.cover_from_json({
+                "space": {"maximal_simplices": [["a"]]}, "working_level": -1,
+                "levels": [[{"id": "A", "stars": ["a"]}]],
+            }),
             lambda: jsonio.refinement_from_json(rem_cover(), {
                 "kappa": 1, "families": [[{"id": "A", "level": -1, "stars": ["a"]}]],
             }),
         ],
-        ids=["point", "star_set", "refinement"],
+        ids=["star_set", "refinement"],
     )
     def test_a_negative_level_is_refused_as_a_level(self, read):
-        """Not as an unknown label: the level is checked before any label."""
+        """Not as an unknown label: the level is checked before any label.
+        The star-set reader reads a cover's elements at its working level
+        and a refinement's at their own."""
         with pytest.raises(InvalidArgument, match="^stage levels are nonnegative$"):
             read()
 
@@ -233,18 +198,15 @@ class TestSchemaErrors:
         target = coned(validate_complex([{"t:a", "t:b"}]), "z")
         table = {tau: target for tau in e.stage_complex(0).simplices}
         tables = jsonio.tables_to_json(carrier_tables(e, 0, target, [table]))
-        cover = jsonio.cover_to_json(rem_cover())
+        cs = rem_cover()
+        cover = jsonio.cover_to_json(cs)
         image = {"subdivision_level": 1, "target_kind": "full_nerve",
                  "vertex_images": {"b(a)": ["P", 0]}}
         reads = [
             (jsonio, "cover_sequence", lambda: jsonio.cover_from_json(cover)),
             (jsonio, "carrier_tables", lambda: jsonio.tables_from_json(e, tables)),
-            (jsonio, "star_set",
-             lambda: jsonio.star_set_from_json(e, {"level": 0, "stars": ["a"]})),
-            (jsonio, "stage_point",
-             lambda: jsonio.point_from_json(e, {"level": 0, "coords": {"a": "1"}})),
-            (PolyhedralSpace, "vertex_named",
-             lambda: jsonio.canonical_map_from_json(rem_cover(), image)),
+            (jsonio, "star_set", lambda: jsonio.cover_from_json(cover)),
+            (PolyhedralSpace, "vertex_at", lambda: jsonio.canonical_map_from_json(cs, image)),
         ]
         for owner, name, read in reads:
             with monkeypatch.context() as patch:

@@ -114,7 +114,7 @@ class TestStarContains:
         cs = rem_cover()
         p_star = dict(cs.levels[0])["P"]
         b = stage_point(cs.space, 1, {"b(b)": 1})
-        assert carrier(b) == fs(cs.space.vertex_named(1, "b(b)"))
+        assert carrier(b) == fs(cs.space.vertex_at(1, "b(b)"))
         assert not star_contains(p_star, b)
 
     def test_level_mismatch_raises(self):
@@ -129,15 +129,15 @@ class TestPushPoint:
         e = edge_space()
         mid = stage_point(e, 0, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
         lifted = push_point(e, mid, 1)
-        assert carrier(lifted) == fs(e.vertex_named(1, "b(a,b)"))
+        assert carrier(lifted) == fs(e.vertex_at(1, "b(a,b)"))
 
     def test_generic_point_staircase(self):
         e = edge_space()
         p = stage_point(e, 0, {"a": Fraction(2, 3), "b": Fraction(1, 3)})
         lifted = push_point(e, p, 1)
         assert lifted.coords == {
-            e.vertex_named(1, "b(a)"): Fraction(1, 3),
-            e.vertex_named(1, "b(a,b)"): Fraction(2, 3),
+            e.vertex_at(1, "b(a)"): Fraction(1, 3),
+            e.vertex_at(1, "b(a,b)"): Fraction(2, 3),
         }
 
     def test_cannot_coarsen(self):
@@ -151,7 +151,7 @@ class TestPushStar:
     def test_end_star_core_at_level_one(self):
         e = edge_space()
         pushed = push_star(star_set(e, 0, ["a"]), 1)
-        expected = {e.vertex_named(1, "b(a)"), e.vertex_named(1, "b(a,b)")}
+        expected = {e.vertex_at(1, "b(a)"), e.vertex_at(1, "b(a,b)")}
         assert pushed.core_vertices == expected
 
     def test_whole_space_stays_whole(self):
@@ -184,7 +184,7 @@ class TestStarRelation:
         s1 = star_set(e, 1, ["b(a)"])
         s2 = star_set(e, 1, ["b(b)"])
         # oracle: no level-1 simplex contains both end vertices
-        va, vb = e.vertex_named(1, "b(a)"), e.vertex_named(1, "b(b)")
+        va, vb = e.vertex_at(1, "b(a)"), e.vertex_at(1, "b(b)")
         assert not any(
             va in s and vb in s for s in e.stage_complex(1).simplices
         )

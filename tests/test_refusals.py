@@ -148,6 +148,23 @@ class TestCovers:
         with refused(SchemaError, f"$.families: {message}"):
             jsonio.refinement_from_json(cs, doc)
 
+    def test_a_family_whose_element_id_is_not_a_string(self):
+        """The verifier refuses what `refinement_as_cover` refuses, at the
+        first offender in family order, with the same message."""
+        cs = vertex_star_cover(tri_space(), 3)
+        r = ostrand_refine(cs, 2)
+        (first, a), (second, b), (_, c), *rest = r.families[0]
+        for row, message in (
+            (((7, a), (second, b), (first, c)), "element ids must be strings"),
+            (((7, a), (first, b), (first, c)), "element ids must be strings"),
+            (((first, a), (first, b), (7, c)), "duplicate element id 'b(a)' at level 0"),
+        ):
+            families = ((*row, *rest), *r.families[1:])
+            with refused(InvalidArgument, message):
+                refinement_as_cover(CRefinement(families, 3, cs))
+            with refused(InvalidArgument, message):
+                verify_c_refinement(CRefinement(families, 3, cs))
+
     def test_refinement_map_across_spaces(self):
         fine, coarse = vertex_star_cover(edge_space()), vertex_star_cover(tri_space())
         with refused(InvalidArgument, "cover sequences live on different spaces"):
@@ -205,10 +222,10 @@ class TestCoordinates:
         with refused(InvalidArgument, "7 is not a vertex of stage 0"):
             stage_point(tri_space(), 0, {7: "1"})
 
-    def test_an_unknown_label_in_a_point_document(self):
-        doc = {"level": 0, "coords": {"zz": "1"}}
-        with refused(SchemaError, "$.coords: no vertex labelled 'zz' at level 0"):
-            jsonio.point_from_json(edge_space(), doc)
+    def test_an_unknown_label_in_a_map_document(self):
+        doc = {"subdivision_level": 1, "vertex_images": {"zz": ["a", 0]}}
+        with refused(SchemaError, "$.vertex_images['zz']: no vertex labelled 'zz' at level 1"):
+            jsonio.canonical_map_from_json(vertex_star_cover(edge_space(), 1), doc)
 
 
 EDGE = validate_complex([{"a", "b"}])

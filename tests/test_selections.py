@@ -76,9 +76,9 @@ def rem_example_map():
     space = cs.space
     stage = space.stage_complex(1)
     images = {
-        space.vertex_named(1, "b(a)"): ("P", 0),
-        space.vertex_named(1, "b(a,b)"): ("P", 0),
-        space.vertex_named(1, "b(b)"): ("Q", 1),
+        space.vertex_at(1, "b(a)"): ("P", 0),
+        space.vertex_at(1, "b(a,b)"): ("P", 0),
+        space.vertex_at(1, "b(b)"): ("Q", 1),
     }
     target = delta_subcomplex(cs, 2)
     return cs, CanonicalMap(1, SimplicialMap(stage, target, images), DELTA)

@@ -66,7 +66,7 @@ def test_labels_and_label_index_match_recursive_labels(tower):
         assert {vlabel(v): v for v in stage.vertices} == expected
         assert stage.by_label == expected
         for name, v in expected.items():
-            assert space.vertex_named(level, name) is stage.by_label[name] == v
+            assert space.vertex_at(level, name) is stage.by_label[name] == v
 
 
 def test_push_star_matches_stage_sweep(tower):
