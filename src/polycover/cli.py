@@ -44,7 +44,6 @@ from .selections import (
     why_not_canonical,
     why_not_selection,
 )
-from .selftest import format_table, run_corpus
 
 
 def _read_json(path: str, what: str):
@@ -308,8 +307,10 @@ def _cmd_mu_driver(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    rows, ok = run_corpus()
-    _emit(format_table(rows), args.out)
+    from . import selftest  # only this command reads the fixture corpus
+
+    rows, ok = selftest.run_corpus()
+    _emit(selftest.format_table(rows), args.out)
     return 0 if ok else 1
 
 

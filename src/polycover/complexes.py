@@ -21,15 +21,18 @@ the mask of positions they take in the facet, and makes the facet's
 flags by picking the masks of each ordering's prefixes from a table
 computed once per facet size and call.  Adjacency (`neighbours`) is one
 pass over the facets.
+Every process compiles what it imports, so no class here is a dataclass:
+a complex, which keeps its indexes in cached properties, is a slotted
+class with hand-written equality (facets, within the class) and hashing,
+and maps and stages are named tuples.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ComposeError, IncompleteMap, InvalidComplex, VertexClash
 
@@ -80,23 +83,31 @@ def simplex_label(s: Simplex) -> str:
     return "|".join(sorted(map(vlabel, s)))
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
     """A finite simplicial complex, stored as its facets: the maximal sets
     of the family it is built from.
 
     Any family of nonempty vertex sets builds one, its faces included or
-    not, so equality and hashing compare facets.  The faces are expanded
-    into `simplices` only when read; `s in c` asks whether s lies in some
-    facet.  The empty complex (no simplices at all) is a legal value; it
-    arises as the carrier-indexed complex of an uncovered carrier.
-    `validate_complex` is the checked entry point for raw user input.
+    not, so equality and hashing compare facets, and a complex equals
+    only another complex.  The faces are expanded into `simplices` only
+    when read; `s in c` asks whether s lies in some facet.  The empty
+    complex (no simplices at all) is a legal value; it arises as the
+    carrier-indexed complex of an uncovered carrier.  `validate_complex`
+    is the checked entry point for raw user input.
     """
 
-    facets: frozenset
+    __slots__ = ("facets", "__dict__", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "facets", _maximal(self.facets))
+    def __init__(self, facets):
+        self.facets = _maximal(facets)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.facets == other.facets
+
+    def __hash__(self) -> int:
+        return hash((self.facets,))
 
     @cached_property
     def simplices(self) -> frozenset:
@@ -238,8 +249,7 @@ def maximal_simplices(c: SimplicialComplex) -> list:
     return sorted(c.facets, key=simplex_key)
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
+class SimplicialMap(NamedTuple):
     """A vertex map between complexes, intended to send simplices to simplices.
 
     Validity is checked by `check_simplicial_map`, never assumed, so that
@@ -287,8 +297,7 @@ def compose_maps(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
     return SimplicialMap(inner.source, outer.target, images)
 
 
-@dataclass(frozen=True)
-class SubdivisionStage:
+class SubdivisionStage(NamedTuple):
     """One stage of the barycentric subdivision tower.
 
     Level-m vertices are Barycenter tokens over level-(m-1) simplices, each

@@ -24,15 +24,16 @@ one element per level is its own single product.
 Containment reads the same index: at one level, the elements containing
 a star-set are those holding every vertex of its core
 (`CoverSequence.containing`).  These caches, and the families pushed to
-finer levels, live and die with their cover.  Coverage is decided in one
-place, `uncovered_vertex`.
+finer levels, are plain attributes that a cover makes empty at
+construction, so they live and die with their cover; equality and hashing
+read only its space, working level and levels, and a cover equals only
+another cover.
+Coverage is decided in one place, `uncovered_vertex`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 
 from .complexes import (
     SimplicialComplex,
@@ -56,19 +57,43 @@ FULL_NERVE = "full_nerve"
 DELTA = "delta"
 
 
-@dataclass(frozen=True)
 class CoverSequence:
     """Finitely many levels of named star-sets over one space.
 
     All star-sets are normalized to a single working level at construction.
     Element ids are unique within a level; the identity of a nerve vertex
     is the pair (id, level).  The union over all levels covers the space;
-    individual levels need not cover on their own.
+    individual levels need not cover on their own.  Two sequences are
+    equal when their space, working level and levels are.
+
+    `nerves` maps (kind, kappa) to the complex of that kind over the first
+    kappa levels, filled by `nerve` and `delta_subcomplex` on first use.
     """
 
-    space: PolyhedralSpace
-    working_level: int
-    levels: tuple
+    __slots__ = ("space", "working_level", "levels", "nerves", "_pushed", "_holders",
+                 "__weakref__")
+
+    def __init__(self, space: PolyhedralSpace, working_level: int, levels: tuple):
+        self.space = space
+        self.working_level = working_level
+        self.levels = levels
+        self.nerves, self._pushed, self._holders = {}, {}, {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.working_level, self.levels) == (
+            other.space, other.working_level, other.levels
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.working_level, self.levels))
+
+    def __repr__(self) -> str:
+        return (
+            f"CoverSequence(space={self.space!r}, working_level={self.working_level!r}, "
+            f"levels={self.levels!r})"
+        )
 
     @property
     def num_levels(self) -> int:
@@ -83,16 +108,6 @@ class CoverSequence:
 
     def working_complex(self) -> SimplicialComplex:
         return self.space.stage_complex(self.working_level)
-
-    @cached_property
-    def nerves(self) -> dict:
-        """(kind, kappa) -> the complex of that kind over the first kappa
-        levels, filled by `nerve` and `delta_subcomplex` on first use."""
-        return {}
-
-    @cached_property
-    def _pushed(self) -> dict:
-        return {}
 
     def pushed(self, kappa: int, level: int) -> tuple:
         """The first kappa families with every star-set re-expressed at
@@ -110,10 +125,6 @@ class CoverSequence:
                 tuple((eid, stars[star]) for eid, star in row) for row in rows
             )
         return self._pushed[key]
-
-    @cached_property
-    def _holders(self) -> dict:
-        return {}
 
     def holders(self, kappa: int, level: int) -> dict:
         """Each vertex of stage `level` in some core of the first kappa

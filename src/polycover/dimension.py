@@ -13,9 +13,9 @@ star-set model and the level bound, never a claim about all refinements.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from .complexes import barycenter_label, check_simplicial_map, simplex_key, vlabel
 from .covers import (
@@ -45,8 +45,7 @@ from .selections import (
 )
 
 
-@dataclass(frozen=True)
-class CRefinement:
+class CRefinement(NamedTuple):
     """Pairwise-disjoint star-set families witnessing a cover sequence's
     refinement; `families[n]` refines level n of `source`."""
 
@@ -55,8 +54,7 @@ class CRefinement:
     source: CoverSequence
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(NamedTuple):
     """Outcome of `verify_c_refinement`; falsy reports carry a witness."""
 
     ok: bool
@@ -172,20 +170,18 @@ def ostrand_refine(
     return CRefinement(tuple(map(tuple, families)), n + 1, cs)
 
 
-@dataclass(frozen=True)
-class SearchAudit:
+class SearchAudit(NamedTuple):
     level: int
     nodes: int
     prunes: int
     found: bool
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     status: str  # "found" | "exhausted"
     level: int | None
     refinement: CRefinement | None
-    audits: tuple = field(default_factory=tuple)
+    audits: tuple = ()
 
 
 # Search table cap: a level-3 triangle search has no end yet, and without a
@@ -385,8 +381,7 @@ def search_c_refinement(
     return SearchResult("exhausted", max_level, None, tuple(audits))
 
 
-@dataclass(frozen=True)
-class MuMode:
+class MuMode(NamedTuple):
     """Family-count regime for the equivalence driver."""
 
     kind: str  # "omega_plus_one" | "omega" | "n_plus_one"
@@ -407,8 +402,7 @@ def n_plus_one(n: int) -> MuMode:
     return MuMode("n_plus_one", n)
 
 
-@dataclass(frozen=True)
-class MuReport:
+class MuReport(NamedTuple):
     """Certificates and predicate outcomes of one driver run."""
 
     mode: str

@@ -21,7 +21,6 @@ core vertex off the stage's `stars` index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
@@ -129,8 +128,7 @@ class PolyhedralSpace:
         return f"PolyhedralSpace(base={self.base!r})"
 
 
-@dataclass(frozen=True)
-class BarycentricPoint:
+class BarycentricPoint(NamedTuple):
     """A point of a geometric realisation in exact barycentric coordinates.
 
     `complex` is the complex the point lives on; for points on a stage of a
@@ -231,9 +229,12 @@ class StarSet(NamedTuple):
 
 
 def star_set(space: PolyhedralSpace, level: int, cores) -> StarSet:
-    """Build a star-set; core entries may be vertex ids or labels."""
-    space.stage(level)
-    resolved = {space.vertex_at(level, key) for key in cores}
+    """Build a star-set; core entries may be vertex ids or labels.  The
+    stage is read once: a label resolves through its `by_label`, and any
+    other key through `vertex_at`, which refuses what names no vertex."""
+    stage = space.stage_complex(level)
+    resolved = {stage.by_label[key] if key in stage.by_label else space.vertex_at(level, key)
+                for key in cores}
     if not resolved:
         raise InvalidArgument("a star-set needs at least one core vertex")
     return StarSet(space, level, frozenset(resolved))

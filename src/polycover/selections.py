@@ -22,7 +22,7 @@ verified, never discovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -66,8 +66,7 @@ from .realization import PolyhedralSpace, StarSet, _least_overlap
 DEFAULT_MAX_LEVEL = 8
 
 
-@dataclass(frozen=True)
-class CanonicalMap:
+class CanonicalMap(NamedTuple):
     """A simplicial map from a subdivision stage into the nerve complex of
     kind `DELTA` or `FULL_NERVE`, which is `map.target`."""
 
@@ -299,8 +298,7 @@ def cone_extend(
     return SimplicialMap(extended, target, images)
 
 
-@dataclass(frozen=True)
-class CarrierMappingSequence:
+class CarrierMappingSequence(NamedTuple):
     """Carrier-indexed tables modelling a sequence of lower locally constant
     set-valued mappings into a fixed target complex.
 

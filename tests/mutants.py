@@ -545,6 +545,43 @@ MUTANTS = [
         "one way in",
         "covers and refinements refuse an element id that is not a string",
     ),
+    # -- start-up without the dataclass machinery ---------------------------
+    Mutant(
+        COMPLEXES,
+        "        if other.__class__ is not self.__class__:\n"
+        "            return NotImplemented\n"
+        "        return self.facets == other.facets\n",
+        "        return self.facets == other.facets\n",
+        ("tests/test_value_types.py::test_a_complex_or_a_cover_equals_no_tuple_of_its_fields",),
+        "start-up without the dataclass machinery",
+        "a complex equals only another complex",
+    ),
+    Mutant(
+        COVERS,
+        "        if other.__class__ is not self.__class__:\n"
+        "            return NotImplemented\n"
+        "        return (self.space, self.working_level, self.levels) == (\n",
+        "        return (self.space, self.working_level, self.levels) == (\n",
+        ("tests/test_value_types.py::test_a_complex_or_a_cover_equals_no_tuple_of_its_fields",),
+        "start-up without the dataclass machinery",
+        "a cover sequence equals only another cover sequence",
+    ),
+    Mutant(
+        "src/polycover/cli.py",
+        "from . import jsonio\n",
+        "from . import jsonio, selftest\n",
+        ("tests/test_imports.py::test_cli_imports_only_the_standard_library",),
+        "start-up without the dataclass machinery",
+        "only the selftest command imports the fixture corpus",
+    ),
+    Mutant(
+        REALIZATION,
+        "{stage.by_label[key] if key in stage.by_label else space.vertex_at(level, key)\n",
+        "{space.vertex_at(level, key)\n",
+        ("tests/test_jsonio_cli.py::test_a_star_set_element_reads_its_stage_twice",),
+        "start-up without the dataclass machinery",
+        "a star-set resolves its labels through the stage it read once",
+    ),
 ]
 
 # (origin, what the mutant did, why it no longer applies)

@@ -91,6 +91,26 @@ class TestRoundTrips:
         assert '"schema_version": 1' in a
 
 
+def test_a_star_set_element_reads_its_stage_twice(monkeypatch):
+    """Reading a refinement looks up each element's stage once for its
+    level check and once to resolve its labels: 7 one-label elements make
+    14 `PolyhedralSpace.stage` calls, not one more per label."""
+    cs = jsonio.cover_from_json(json.loads((GOLDEN_INPUTS / "tri3.cover.json").read_text()))
+    doc = json.loads((GOLDEN_INPUTS / "tri3.refinement.json").read_text())
+    stage = PolyhedralSpace.stage
+    levels = []
+
+    def spy(space, level):
+        levels.append(level)
+        return stage(space, level)
+
+    monkeypatch.setattr(PolyhedralSpace, "stage", spy)
+    r = jsonio.refinement_from_json(cs, doc)
+    assert sum(map(len, r.families)) == 7
+    assert all(len(star.core_vertices) == 1 for family in r.families for _, star in family)
+    assert len(levels) == 14
+
+
 class TestSchemaErrors:
     def test_bad_complex(self):
         with pytest.raises(SchemaError) as err:

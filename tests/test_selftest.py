@@ -38,13 +38,14 @@ def test_a_failing_row_reads_fail_and_the_other_rows_still_run(monkeypatch, caps
     corpus[bad] = (corpus[bad][0], fails)
     monkeypatch.setattr(selftest, "CORPUS", corpus)
     seen = []
+    run_corpus = selftest.run_corpus
 
     def spy():
-        rows, ok = selftest.run_corpus()
+        rows, ok = run_corpus()
         seen.append(rows)
         return rows, ok
 
-    monkeypatch.setattr(cli, "run_corpus", spy)
+    monkeypatch.setattr(selftest, "run_corpus", spy)
     assert cli.main(["selftest"]) == 1
     (rows,) = seen
     assert capsys.readouterr().out == selftest.format_table(rows)
