@@ -22,7 +22,7 @@ flags by picking the masks of each ordering's prefixes from a table
 computed once per facet size and call.  Adjacency (`neighbours`) is one
 pass over the facets.
 Every process compiles what it imports, so no class here is a dataclass:
-a complex, which keeps its indexes in cached properties, is a slotted
+a complex, which keeps its indexes in cached properties, is a plain
 class with hand-written equality (facets, within the class) and hashing,
 and maps and stages are named tuples.
 """
@@ -95,8 +95,6 @@ class SimplicialComplex:
     carrier-indexed complex of an uncovered carrier.  `validate_complex`
     is the checked entry point for raw user input.
     """
-
-    __slots__ = ("facets", "__dict__", "__weakref__")
 
     def __init__(self, facets):
         self.facets = _maximal(facets)

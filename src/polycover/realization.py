@@ -229,13 +229,10 @@ class StarSet(NamedTuple):
 
 
 def star_set(space: PolyhedralSpace, level: int, cores) -> StarSet:
-    """Build a star-set; core entries may be vertex ids or labels.  The
-    stage is read once: a label resolves through its `by_label`, and any
-    other key through `vertex_at`, which refuses what names no vertex."""
-    stage = space.stage_complex(level)
-    resolved = {stage.by_label[key] if key in stage.by_label else space.vertex_at(level, key)
-                for key in cores}
+    """Build a star-set; core entries may be vertex ids or labels."""
+    resolved = {space.vertex_at(level, key) for key in cores}
     if not resolved:
+        space.stage(level)
         raise InvalidArgument("a star-set needs at least one core vertex")
     return StarSet(space, level, frozenset(resolved))
 

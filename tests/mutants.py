@@ -576,11 +576,12 @@ MUTANTS = [
     ),
     Mutant(
         REALIZATION,
-        "{stage.by_label[key] if key in stage.by_label else space.vertex_at(level, key)\n",
-        "{space.vertex_at(level, key)\n",
+        "    resolved = {space.vertex_at(level, key) for key in cores}\n",
+        "    space.stage(level)\n"
+        "    resolved = {space.vertex_at(level, key) for key in cores}\n",
         ("tests/test_jsonio_cli.py::test_a_star_set_element_reads_its_stage_twice",),
         "start-up without the dataclass machinery",
-        "a star-set resolves its labels through the stage it read once",
+        "a star-set looks its stage up only through vertex_at",
     ),
 ]
 

@@ -93,8 +93,9 @@ class TestRoundTrips:
 
 def test_a_star_set_element_reads_its_stage_twice(monkeypatch):
     """Reading a refinement looks up each element's stage once for its
-    level check and once to resolve its labels: 7 one-label elements make
-    14 `PolyhedralSpace.stage` calls, not one more per label."""
+    level check and once per label in `vertex_at`: 7 one-label elements
+    make 14 `PolyhedralSpace.stage` calls, with no third lookup in
+    `star_set`."""
     cs = jsonio.cover_from_json(json.loads((GOLDEN_INPUTS / "tri3.cover.json").read_text()))
     doc = json.loads((GOLDEN_INPUTS / "tri3.refinement.json").read_text())
     stage = PolyhedralSpace.stage

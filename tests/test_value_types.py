@@ -1,6 +1,6 @@
 """The value types keep the contract of the frozen records they replaced.
 
-`SimplicialComplex` and `CoverSequence` are plain slotted classes with
+`SimplicialComplex` and `CoverSequence` are plain classes with
 hand-written equality, hashing and repr; the other records are named
 tuples.  Equality of the two classes compares their fields and holds only
 within the class, the caches they carry take no part in it, and every
