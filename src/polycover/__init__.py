@@ -3,9 +3,10 @@ cover sequences, canonical maps and continuous selections, cone
 extensions, carrier-indexed mapping tables, and disjoint-refinement
 machinery for covering-dimension experiments.
 
-Everything is decided with exact rational arithmetic over finite
-simplicial complexes; there is no floating point anywhere in the
-predicate paths.
+Everything is decided by finite simplex combinatorics; there is no
+floating point anywhere in the predicate paths.  Exact points of the
+realisation, which the self-test corpus and the tests check the
+combinatorics against, live in `polycover.selftest`.
 """
 
 from . import errors
@@ -59,18 +60,11 @@ from .dimension import (
     verify_c_refinement,
 )
 from .realization import (
-    BarycentricPoint,
     PolyhedralSpace,
     StarRelation,
     StarSet,
-    barycenter_point,
-    carrier,
     full_star,
-    push_point,
     push_star,
-    realize_map,
-    stage_point,
-    star_contains,
     star_relation,
     star_set,
     star_subset,

@@ -1,11 +1,12 @@
-"""Exact points of the geometric realisation, carriers, open vertex stars,
-and cross-level star bookkeeping.
+"""The subdivision tower of a polyhedral space, open vertex stars, and
+cross-level star bookkeeping.
 
-All coordinates are `fractions.Fraction`; every predicate here is decided
-exactly.  Open subsets of the ground space are represented only as
-star-sets: unions of open vertex stars at a fixed subdivision level.
-Comparisons across levels re-express the coarser object at the finer
-level, never the reverse.
+Open subsets of the ground space are represented only as star-sets:
+unions of open vertex stars at a fixed subdivision level.  Comparisons
+across levels re-express the coarser star-set at the finer level, never
+the reverse.  Every question about them is decided by finite simplex
+combinatorics; exact points, which the self-test corpus and the tests
+check that combinatorics against, live in `selftest`.
 
 At one level, a star-set contains the open star of a vertex v exactly when
 v is in its core, because {v} is itself a simplex of the stage.  So
@@ -22,27 +23,21 @@ core vertex off the stage's `stars` index.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import chain, repeat
 from typing import NamedTuple
 
 from .complexes import (
     SimplicialComplex,
-    SimplicialMap,
     SubdivisionStage,
-    Simplex,
     initial_stage,
     subdivide,
     vlabel,
 )
 from .errors import (
     CannotCoarsen,
-    IncompleteMap,
     InvalidArgument,
     InvalidComplex,
-    InvalidPoint,
     LevelBudgetExceeded,
-    LevelMismatch,
 )
 
 # Stage labels join member labels with "," inside "b(...)", and simplex
@@ -128,94 +123,6 @@ class PolyhedralSpace:
         return f"PolyhedralSpace(base={self.base!r})"
 
 
-class BarycentricPoint(NamedTuple):
-    """A point of a geometric realisation in exact barycentric coordinates.
-
-    `complex` is the complex the point lives on; for points on a stage of a
-    PolyhedralSpace, `level` records that stage.  The level is carried
-    through affine maps unchanged and is inert for non-stage targets.
-    """
-
-    level: int
-    coords: dict
-    complex: SimplicialComplex
-
-
-def _to_fraction(x) -> Fraction:
-    """x as an exact Fraction, or InvalidPoint naming the value."""
-    if isinstance(x, float):
-        raise InvalidPoint("float coordinates are not allowed; use Fraction or str")
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise InvalidPoint(f"coordinate {x!r} is not an exact rational") from None
-
-
-def stage_point(space: PolyhedralSpace, level: int, coords: dict) -> BarycentricPoint:
-    """Build a point on the level-m stage; keys may be vertex ids or labels."""
-    stage = space.stage(level)
-    resolved = {space.vertex_at(level, k): _to_fraction(c) for k, c in coords.items()}
-    return BarycentricPoint(level, resolved, stage.complex)
-
-
-def carrier(p: BarycentricPoint) -> Simplex:
-    """The unique simplex whose relative interior contains p."""
-    total = Fraction(0)
-    support = set()
-    for v, c in p.coords.items():
-        c = _to_fraction(c)
-        if c < 0:
-            raise InvalidPoint(f"negative coordinate at {vlabel(v)}")
-        total += c
-        if c > 0:
-            support.add(v)
-    if total != 1:
-        raise InvalidPoint(f"coordinates sum to {total}, expected 1")
-    s = frozenset(support)
-    if s not in p.complex:
-        raise InvalidPoint("support is not a simplex of the underlying complex")
-    return s
-
-
-def barycenter_point(space: PolyhedralSpace, level: int, s: Simplex) -> BarycentricPoint:
-    """The uniform-weight point in the relative interior of s."""
-    s = frozenset(s)
-    w = Fraction(1, len(s))
-    return stage_point(space, level, {v: w for v in s})
-
-
-def push_point(
-    space: PolyhedralSpace, p: BarycentricPoint, target_level: int
-) -> BarycentricPoint:
-    """Re-express a stage point at a finer stage (the identical point of |K|).
-
-    One step works by the descending-coordinate staircase: sorting the
-    support by coordinate (ties in any order), the prefix sets form a chain,
-    and the point is the combination of their barycenters with weights
-    i*(λ_i - λ_{i+1}), which is 0 for a prefix splitting a tie.
-    """
-    if target_level < p.level:
-        raise CannotCoarsen("points can only be pushed to finer levels")
-    if p.complex != space.stage_complex(p.level):
-        raise InvalidPoint("point does not live on a stage of this space")
-    q = p
-    for level in range(p.level, target_level):
-        carrier(q)
-        tokens = space.stage_complex(level).barycenters
-        items = sorted(q.coords.items(), key=lambda vc: -vc[1])
-        items = [(v, c) for v, c in items if c > 0]
-        coords = {}
-        prefix: list = []
-        for i, (v, c) in enumerate(items):
-            prefix.append(v)
-            nxt = items[i + 1][1] if i + 1 < len(items) else Fraction(0)
-            weight = (c - nxt) * (i + 1)
-            if weight > 0:
-                coords[tokens[frozenset(prefix)]] = weight
-        q = BarycentricPoint(level + 1, coords, space.stage_complex(level + 1))
-    return q
-
-
 class StarSet(NamedTuple):
     """A union of open vertex stars at a fixed subdivision level."""
 
@@ -240,15 +147,6 @@ def star_set(space: PolyhedralSpace, level: int, cores) -> StarSet:
 def full_star(space: PolyhedralSpace, level: int) -> StarSet:
     """The whole space as a star-set: stars of every stage vertex."""
     return StarSet(space, level, space.stage_complex(level).vertices)
-
-
-def star_contains(s: StarSet, p: BarycentricPoint) -> bool:
-    """True iff p lies in the union of s's open vertex stars."""
-    if p.level != s.level or p.complex != s.space.stage_complex(s.level):
-        raise LevelMismatch(
-            f"point at level {p.level} vs star-set at level {s.level}; push first"
-        )
-    return bool(carrier(p) & s.core_vertices)
 
 
 def push_star(s: StarSet, target_level: int) -> StarSet:
@@ -344,19 +242,3 @@ def _least_overlap(stage: SimplicialComplex, families: list) -> tuple | None:
 
 def star_subset(s1: StarSet, s2: StarSet) -> bool:
     return star_relation(s1, s2) in (StarRelation.S1_SUBSET_S2, StarRelation.EQUAL)
-
-
-def realize_map(g: SimplicialMap, p: BarycentricPoint) -> BarycentricPoint:
-    """Apply the affine realisation of g to p: sum coordinates over fibers."""
-    support = carrier(p)
-    if support not in g.source:
-        raise InvalidPoint("point does not lie on the source complex")
-    coords: dict = {}
-    for v, c in p.coords.items():
-        if c == 0:
-            continue
-        if v not in g.vertex_images:
-            raise IncompleteMap(f"no image for vertex {vlabel(v)}")
-        w = g.vertex_images[v]
-        coords[w] = coords.get(w, Fraction(0)) + c
-    return BarycentricPoint(p.level, coords, g.target)

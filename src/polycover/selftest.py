@@ -1,11 +1,22 @@
 """Fixture corpus for the `selftest` command: one row per capability,
-each running a handful of exact checks on the shared fixtures."""
+each running a handful of exact checks on the shared fixtures.
+
+It also holds the exact point layer those checks and the tests evaluate:
+points of a stage in exact barycentric coordinates, their carriers,
+their pushdown to finer stages, star membership and the affine
+realisation of simplicial maps.  No command but `selftest` reads a point,
+so the package's only rational arithmetic is loaded with this module
+alone.  Coordinates are `fractions.Fraction`; a float is refused.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import (
+    Simplex,
+    SimplicialComplex,
     SimplicialMap,
     check_simplicial_map,
     cone,
@@ -34,6 +45,7 @@ from .dimension import (
     search_c_refinement,
     verify_c_refinement,
 )
+from .errors import CannotCoarsen, IncompleteMap, InvalidPoint, LevelMismatch
 from .fixtures import (
     boundary_space,
     edge_space,
@@ -42,13 +54,10 @@ from .fixtures import (
     vertex_star_cover,
 )
 from .realization import (
+    PolyhedralSpace,
     StarRelation,
-    barycenter_point,
-    carrier,
-    push_point,
+    StarSet,
     push_star,
-    stage_point,
-    star_contains,
     star_relation,
     star_set,
 )
@@ -66,6 +75,125 @@ from .selections import (
     transfer_selection,
     vertex_selection,
 )
+
+
+# -- exact points -------------------------------------------------------------
+
+
+class BarycentricPoint(NamedTuple):
+    """A point of a geometric realisation in exact barycentric coordinates.
+
+    `complex` is the complex the point lives on; for points on a stage of a
+    PolyhedralSpace, `level` records that stage.  The level is carried
+    through affine maps unchanged and is inert for non-stage targets.
+    """
+
+    level: int
+    coords: dict
+    complex: SimplicialComplex
+
+
+def _to_fraction(x) -> Fraction:
+    """x as an exact Fraction, or InvalidPoint naming the value."""
+    if isinstance(x, float):
+        raise InvalidPoint("float coordinates are not allowed; use Fraction or str")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidPoint(f"coordinate {x!r} is not an exact rational") from None
+
+
+def stage_point(space: PolyhedralSpace, level: int, coords: dict) -> BarycentricPoint:
+    """Build a point on the level-m stage; keys may be vertex ids or labels."""
+    stage = space.stage(level)
+    resolved = {space.vertex_at(level, k): _to_fraction(c) for k, c in coords.items()}
+    return BarycentricPoint(level, resolved, stage.complex)
+
+
+def _read(p: BarycentricPoint) -> tuple:
+    """p's carrier and its coordinates as exact Fractions: the one place a
+    point's coordinates are read, so every function sees the same values."""
+    total = Fraction(0)
+    coords = {}
+    for v, c in p.coords.items():
+        c = coords[v] = _to_fraction(c)
+        if c < 0:
+            raise InvalidPoint(f"negative coordinate at {vlabel(v)}")
+        total += c
+    if total != 1:
+        raise InvalidPoint(f"coordinates sum to {total}, expected 1")
+    s = frozenset(v for v, c in coords.items() if c > 0)
+    if s not in p.complex:
+        raise InvalidPoint("support is not a simplex of the underlying complex")
+    return s, coords
+
+
+def carrier(p: BarycentricPoint) -> Simplex:
+    """The unique simplex whose relative interior contains p."""
+    return _read(p)[0]
+
+
+def barycenter_point(space: PolyhedralSpace, level: int, s: Simplex) -> BarycentricPoint:
+    """The uniform-weight point in the relative interior of s."""
+    s = frozenset(s)
+    w = Fraction(1, len(s))
+    return stage_point(space, level, {v: w for v in s})
+
+
+def push_point(
+    space: PolyhedralSpace, p: BarycentricPoint, target_level: int
+) -> BarycentricPoint:
+    """Re-express a stage point at a finer stage (the identical point of |K|).
+
+    One step works by the descending-coordinate staircase: sorting the
+    support by coordinate (ties in any order), the prefix sets form a chain,
+    and the point is the combination of their barycenters with weights
+    i*(λ_i - λ_{i+1}), which is 0 for a prefix splitting a tie.
+    """
+    if target_level < p.level:
+        raise CannotCoarsen("points can only be pushed to finer levels")
+    if p.complex != space.stage_complex(p.level):
+        raise InvalidPoint("point does not live on a stage of this space")
+    q = p
+    for level in range(p.level, target_level):
+        tokens = space.stage_complex(level).barycenters
+        items = sorted(_read(q)[1].items(), key=lambda vc: -vc[1])
+        items = [(v, c) for v, c in items if c > 0]
+        coords = {}
+        prefix: list = []
+        for i, (v, c) in enumerate(items):
+            prefix.append(v)
+            nxt = items[i + 1][1] if i + 1 < len(items) else Fraction(0)
+            weight = (c - nxt) * (i + 1)
+            if weight > 0:
+                coords[tokens[frozenset(prefix)]] = weight
+        q = BarycentricPoint(level + 1, coords, space.stage_complex(level + 1))
+    return q
+
+
+def star_contains(s: StarSet, p: BarycentricPoint) -> bool:
+    """True iff p lies in the union of s's open vertex stars."""
+    if p.level != s.level or p.complex != s.space.stage_complex(s.level):
+        raise LevelMismatch(
+            f"point at level {p.level} vs star-set at level {s.level}; push first"
+        )
+    return bool(carrier(p) & s.core_vertices)
+
+
+def realize_map(g: SimplicialMap, p: BarycentricPoint) -> BarycentricPoint:
+    """Apply the affine realisation of g to p: sum coordinates over fibers."""
+    support, exact = _read(p)
+    if support not in g.source:
+        raise InvalidPoint("point does not lie on the source complex")
+    coords: dict = {}
+    for v, c in exact.items():
+        if c == 0:
+            continue
+        if v not in g.vertex_images:
+            raise IncompleteMap(f"no image for vertex {vlabel(v)}")
+        w = g.vertex_images[v]
+        coords[w] = coords.get(w, Fraction(0)) + c
+    return BarycentricPoint(p.level, coords, g.target)
 
 
 # Checks made so far; each corpus row reports how many it made.

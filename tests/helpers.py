@@ -21,7 +21,6 @@ from polycover import (
     delta_subcomplex,
     pad_levels,
     push_star,
-    stage_point,
     star_subset,
     validate_complex,
     vlabel,
@@ -30,6 +29,7 @@ from polycover.complexes import Barycenter, SimplicialComplex, simplex_key
 from polycover.covers import _check_kappa
 from polycover.dimension import SearchAudit
 from polycover.errors import NotARefinement, UnknownCarrier, UnknownCoverElement
+from polycover.selftest import stage_point
 
 
 def brute_force_chain_count(simplices) -> dict:

@@ -31,6 +31,7 @@ SELECTIONS = "src/polycover/selections.py"
 JSONIO = "src/polycover/jsonio.py"
 REALIZATION = "src/polycover/realization.py"
 DIMENSION = "src/polycover/dimension.py"
+SELFTEST = "src/polycover/selftest.py"
 
 MUTANTS = [
     # -- a complex is its facets ------------------------------------------
@@ -582,6 +583,58 @@ MUTANTS = [
         ("tests/test_jsonio_cli.py::test_a_star_set_element_reads_its_stage_twice",),
         "start-up without the dataclass machinery",
         "a star-set looks its stage up only through vertex_at",
+    ),
+    # -- exact points off the import path ----------------------------------
+    Mutant(
+        SELFTEST,
+        "    if p.level != s.level or p.complex != s.space.stage_complex(s.level):\n",
+        "    if p.level != s.level:\n",
+        ("tests/test_realization.py::TestStarContains::test_a_point_of_another_space_is_refused",),
+        "exact points off the import path",
+        "star membership refuses a point of another space at the same level",
+    ),
+    Mutant(
+        SELFTEST,
+        "            weight = (c - nxt) * (i + 1)\n",
+        "            weight = (c - nxt) * i\n",
+        ("tests/test_realization.py::TestPushPoint::test_generic_point_staircase",
+         "tests/test_realization.py::TestPushPoint::test_midpoint_becomes_barycenter_vertex"),
+        "exact points off the import path",
+        "a staircase step weighs the i-th prefix by i",
+    ),
+    Mutant(
+        SELFTEST,
+        "    if isinstance(x, float):\n",
+        "    if False:\n",
+        ("tests/test_acceptance.py::test_criterion_9_exact_arithmetic_audit",
+         "tests/test_realization.py::TestCarrier::test_float_coordinates_rejected"),
+        "exact points off the import path",
+        "a float coordinate is refused at run time (criterion 9)",
+    ),
+    Mutant(
+        SELFTEST,
+        "    if total != 1:\n",
+        "    if False:\n",
+        ("tests/test_realization.py::TestCarrier::test_bad_sum_rejected",),
+        "exact points off the import path",
+        "a point's coordinates sum to 1",
+    ),
+    Mutant(
+        SELFTEST,
+        "    if target_level < p.level:\n"
+        '        raise CannotCoarsen("points can only be pushed to finer levels")\n',
+        "",
+        ("tests/test_realization.py::TestPushPoint::test_cannot_coarsen",),
+        "exact points off the import path",
+        "a point is never pushed to a coarser level",
+    ),
+    Mutant(
+        SELFTEST,
+        "        if c == 0:\n            continue\n",
+        "",
+        ("tests/test_refusals.py::TestRealizeMap::test_a_zero_coordinate_needs_no_image",),
+        "exact points off the import path",
+        "a vertex of zero weight needs no image under an affine map",
     ),
 ]
 

@@ -383,7 +383,7 @@ def test_criterion_9_exact_arithmetic_audit():
 
     # runtime guard: float coordinates are rejected outright
     import pytest
-    from polycover import stage_point
+    from polycover.selftest import stage_point
     from polycover.errors import InvalidPoint
 
     with pytest.raises(InvalidPoint):

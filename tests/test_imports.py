@@ -52,7 +52,9 @@ def test_cli_imports_only_the_standard_library():
     does it load `multiprocessing` or `concurrent.futures`, whose imports
     alone take milliseconds that every fresh process pays, nor
     `dataclasses` and `inspect`, which the value types no longer need, nor
-    `polycover.selftest`, which only the `selftest` command imports."""
+    `polycover.selftest`, which only the `selftest` command imports.  The
+    exact point layer lives there, so no rational arithmetic is loaded
+    either: not `fractions`, nor the `decimal` and `numbers` it imports."""
     script = (
         "import sys; before = set(sys.modules); import polycover.cli; "
         "print('\\n'.join(sorted(set(sys.modules) - before)))"
@@ -71,3 +73,21 @@ def test_cli_imports_only_the_standard_library():
     assert foreign == []
     assert {"multiprocessing", "concurrent.futures"}.isdisjoint(loaded)
     assert {"dataclasses", "inspect", "polycover.selftest"}.isdisjoint(loaded)
+    assert {"fractions", "decimal", "numbers"}.isdisjoint(loaded)
+
+
+POINT_LAYER = (
+    "BarycentricPoint", "_to_fraction", "stage_point", "carrier",
+    "barycenter_point", "push_point", "star_contains", "realize_map",
+)
+
+
+def test_the_point_layer_has_one_home():
+    """The exact points are defined in `selftest` alone: neither the
+    package nor `realization` binds any of their names."""
+    import polycover
+    from polycover import realization, selftest
+
+    for module in (polycover, realization):
+        assert [name for name in POINT_LAYER if hasattr(module, name)] == []
+    assert all(getattr(selftest, name).__module__ == "polycover.selftest" for name in POINT_LAYER)

@@ -6,20 +6,14 @@ from fractions import Fraction
 import pytest
 
 from polycover import (
-    BarycentricPoint,
     SimplicialMap,
     StarRelation,
     StarSet,
     build_canonical,
-    carrier,
     compose_maps,
     full_star,
     ostrand_refine,
-    push_point,
     push_star,
-    realize_map,
-    stage_point,
-    star_contains,
     star_relation,
     star_set,
     star_subset,
@@ -36,6 +30,14 @@ from polycover.errors import (
 )
 from polycover.fixtures import boundary_space, edge_space, rem_cover, tet_space, tri_space
 from polycover.realization import PolyhedralSpace, _least_overlap, _subdivision_size
+from polycover.selftest import (
+    BarycentricPoint,
+    carrier,
+    push_point,
+    realize_map,
+    stage_point,
+    star_contains,
+)
 
 from helpers import (
     grid_points,
@@ -122,6 +124,13 @@ class TestStarContains:
         s = star_set(e, 1, ["b(a)"])
         with pytest.raises(LevelMismatch):
             star_contains(s, stage_point(e, 0, {"a": 1}))
+
+    def test_a_point_of_another_space_is_refused(self):
+        # same level, and the point's carrier meets the core by label, but
+        # the point lives on the edge and the star-set on the triangle
+        s = star_set(tri_space(), 0, ["a"])
+        with pytest.raises(LevelMismatch, match="point at level 0 vs star-set at level 0"):
+            star_contains(s, stage_point(edge_space(), 0, {"a": 1}))
 
 
 class TestPushPoint:
@@ -417,6 +426,23 @@ class TestRealizeMap:
         comp = compose_maps(g2, g1)
         for p in interior_points(t, 0):
             assert realize_map(comp, p) == realize_map(g2, realize_map(g1, p))
+
+
+@pytest.mark.parametrize("text", [("1/2", "1/2"), ("1/3", "2/3"), ("1", "0")])
+def test_string_coordinates_read_as_their_fractions(text):
+    """A point built directly may hold coordinates as strings, which
+    `carrier` reads as exact rationals; pushing and mapping the point give
+    what the equal Fraction coordinates give."""
+    e = edge_space()
+    stage = e.stage_complex(0)
+    as_text = BarycentricPoint(0, dict(zip("ab", text)), stage)
+    exact = BarycentricPoint(0, dict(zip("ab", map(Fraction, text))), stage)
+    assert carrier(as_text) == carrier(exact)
+    for level in (1, 2):
+        assert push_point(e, as_text, level) == push_point(e, exact, level)
+    for images in ({"a": "u", "b": "v"}, {"a": "u", "b": "u"}):
+        g = SimplicialMap(e.base, validate_complex([{"u", "v"}]), images)
+        assert realize_map(g, as_text) == realize_map(g, exact)
 
 
 def test_star_set_resolves_labels():

@@ -7,13 +7,11 @@ from fractions import Fraction
 import pytest
 
 from polycover import (
-    BarycentricPoint,
     CanonicalMap,
     CarrierMappingSequence,
     CRefinement,
     SimplicialMap,
     bootstrap_skeletal_selection,
-    carrier,
     carrier_tables,
     cone_extend,
     cover_sequence,
@@ -25,12 +23,9 @@ from polycover import (
     nerve,
     ostrand_refine,
     pad_levels,
-    push_point,
-    realize_map,
     refinement_as_cover,
     refinement_map,
     skeleton,
-    stage_point,
     star_relation,
     star_set,
     validate_complex,
@@ -54,6 +49,13 @@ from polycover.errors import (
     SkeletonViolation,
 )
 from polycover.fixtures import edge_space, tri_space, vertex_star_cover
+from polycover.selftest import (
+    BarycentricPoint,
+    carrier,
+    push_point,
+    realize_map,
+    stage_point,
+)
 
 from test_selections import edge_phi
 

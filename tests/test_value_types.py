@@ -21,7 +21,7 @@ from polycover.dimension import (
     n_plus_one,
 )
 from polycover.fixtures import edge_space, tri_space, vertex_star_cover
-from polycover.realization import stage_point
+from polycover.selftest import stage_point
 
 
 def fs(*vs):
