@@ -186,8 +186,9 @@ class SearchResult(NamedTuple):
 
 # Search table cap: a level-3 triangle search has no end yet, and without a
 # bound its table grows until memory runs out.  65,536 entries of that search
-# take about 30 MB, and clearing a full table only costs repeated walks,
-# never counts.
+# take about 28 MB (keys, counts and the dict, by `sys.getsizeof`), and a
+# 60 s run of it peaks at about 46 MB of resident memory.  Clearing a full
+# table only costs repeated walks, never counts.
 SEARCH_TABLE_CAP = 65_536
 
 
@@ -220,23 +221,42 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     Failed subtrees are answered from a table (nogood recording, Dechter
     1990, storing counts as in Bacchus, Dalmao & Pitassi 2003).  Below a
     node that survives the prune check, the walk reads only its residual
-    state: the unassigned set U; `holds[fam][e] & U` for every family and
-    element (the live masks and the branching vertex follow from these);
-    for each family, the set of `neighbours & U` over its components (a
-    vertex joining merges exactly the components whose neighbours hold it,
-    and the new neighbours are read again only inside U; members matter
-    only to the certificate, which a failed subtree never reaches); and
-    whether each family is open, which is whether that set is nonempty.
-    U is also the OR of the masked rows, since every unassigned vertex of
-    such a node is live in some family; it leads the key as a nonzero
-    field.  Two nodes with equal residual states therefore root equal
-    subtrees with equal node and prune counts, so a failed subtree's
-    counts are stored under its state and added, without a walk, wherever
-    the state recurs.  A found subtree ends the search and is never
-    stored.  The audit counts every node and prune of the full tree,
-    looked up or walked, in Python ints: one level-3 subtree holds more
-    than 2**32 nodes.  The table is released when the level's search ends,
-    and cleared whenever it reaches `SEARCH_TABLE_CAP` entries.
+    state, and the table keys that state canonically, so that states whose
+    subtrees are provably equal share one entry.  A twin class is a set of
+    families with equal core multisets (`earlier_twins`).  The key holds
+    the unassigned set U, then, for each twin class in family order, the
+    sorted multiset of its open members' descriptors.  A member's
+    descriptor is the set of its nonzero `holds` masks within U and the
+    set of its components' nonzero neighbour masks within U & `live[fam]`.
+    Closed (unopened) members are left out.  The key is exact:
+
+    - The walk reads a family's rows only through their OR and the per-row
+      update, so row order and repeated rows do not matter, and a row that
+      is zero within U stays zero and adds nothing.
+    - A component's members matter only to the certificate, which a
+      failed subtree never reaches.  A neighbour bit outside `live[fam]`
+      never triggers a merge, since no vertex outside it is assigned to
+      fam; it only clears bits that no row holds.  A zero mask never
+      merges.
+    - In a reachable state the open members of a class are a prefix of it,
+      so their number fixes which members are closed, and a closed
+      member's rows are its initial rows within U.
+    - Permuting the open members of a class mirrors the subtree: the
+      branching vertex is symmetric in the families, and the twin rule
+      reads only the class prefix.  Node and prune counts are equal.
+      Families of different classes are never permuted, since their
+      closed members differ; nor are base automorphisms applied, since
+      ties break by vertex index and those subtrees differ.
+
+    Two nodes with equal keys therefore root subtrees with equal node and
+    prune counts, so a failed subtree's counts are stored under its key
+    and added, without a walk, wherever the key recurs.  A found subtree ends the search and is never
+    stored, so the tree, the audits and the first certificate are those of
+    the walk without a table.  The audit counts every node and prune of
+    the full tree, looked up or walked, in Python ints: one level-3 subtree
+    holds more than 2**32 nodes.  The table is released when the level's
+    search ends, and cleared whenever it reaches `SEARCH_TABLE_CAP`
+    entries.
     """
     space = cs.space
     common = max(level, cs.working_level)
@@ -270,6 +290,15 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
         [g for g in range(fam) if Counter(cores[g]) == Counter(cores[fam])]
         for fam in range(kappa)
     ]
+    # The twin classes, each in family order.
+    classes = [
+        [fam] + [g for g in range(fam + 1, kappa) if fam in earlier_twins[g]]
+        for fam in range(kappa)
+        if not earlier_twins[fam]
+    ]
+    # Key fields are `width` bits: enough for a mask of nv bits, a count of
+    # open members (at most kappa), of rows, and of components (at most nv).
+    width = max(nv, kappa.bit_length(), max(map(len, rows)).bit_length())
 
     table: dict = {}
     nodes = prunes = 0
@@ -286,20 +315,36 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
         if unassigned != at_least[1]:
             prunes += 1
             return False
-        # The residual state as one int of nv-bit fields: U, every holds
-        # mask within U, then per family the count of its distinct
-        # component neighbour masks within U and those masks in order.
-        # U is nonzero and leads, so the int's length fixes the number of
-        # fields, and the counts tell where each family's masks end.
-        key = unassigned
-        for row in holds:
-            for h in row:
-                key = key << nv | h & unassigned
-        for fam_comps in comps:
-            groups = sorted({a & unassigned for _, a in fam_comps})
-            key = key << nv | len(groups)
-            for a in groups:
-                key = key << nv | a
+        # The canonical residual state as one int: a leading 1, then U and
+        # per twin class the count of its open members in `width`-bit
+        # fields, each followed by the class's descriptors in sorted order.
+        # A descriptor is a leading 1, then its count of nonzero holds masks
+        # within U, those masks in order, its count of nonzero neighbour
+        # masks within U & live, and those masks in order.  Each part
+        # says where it ends, so the key is injective.
+        key = 1 << width | unassigned
+        for members in classes:
+            descriptors = []
+            for fam in members:
+                fam_comps = comps[fam]
+                if not fam_comps:
+                    continue
+                masks = {h & unassigned for h in holds[fam]}
+                masks.discard(0)
+                d = 1 << width | len(masks)
+                for h in sorted(masks):
+                    d = d << width | h
+                near = unassigned & live[fam]
+                masks = {a & near for _, a in fam_comps}
+                masks.discard(0)
+                d = d << width | len(masks)
+                for a in sorted(masks):
+                    d = d << width | a
+                descriptors.append(d)
+            descriptors.sort()
+            key = key << width | len(descriptors)
+            for d in descriptors:
+                key = key << d.bit_length() | d
         counts = table.get(key)
         if counts is not None:
             nodes += counts[0]

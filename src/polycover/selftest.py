@@ -148,16 +148,18 @@ def push_point(
     One step works by the descending-coordinate staircase: sorting the
     support by coordinate (ties in any order), the prefix sets form a chain,
     and the point is the combination of their barycenters with weights
-    i*(λ_i - λ_{i+1}), which is 0 for a prefix splitting a tie.
+    i*(λ_i - λ_{i+1}), which is 0 for a prefix splitting a tie.  The point
+    is read first, also when `target_level` is its own level, so an invalid
+    point is refused and the result's coordinates are exact Fractions.
     """
     if target_level < p.level:
         raise CannotCoarsen("points can only be pushed to finer levels")
     if p.complex != space.stage_complex(p.level):
         raise InvalidPoint("point does not live on a stage of this space")
-    q = p
+    coords = _read(p)[1]
     for level in range(p.level, target_level):
         tokens = space.stage_complex(level).barycenters
-        items = sorted(_read(q)[1].items(), key=lambda vc: -vc[1])
+        items = sorted(coords.items(), key=lambda vc: -vc[1])
         items = [(v, c) for v, c in items if c > 0]
         coords = {}
         prefix: list = []
@@ -167,8 +169,7 @@ def push_point(
             weight = (c - nxt) * (i + 1)
             if weight > 0:
                 coords[tokens[frozenset(prefix)]] = weight
-        q = BarycentricPoint(level + 1, coords, space.stage_complex(level + 1))
-    return q
+    return BarycentricPoint(target_level, coords, space.stage_complex(target_level))
 
 
 def star_contains(s: StarSet, p: BarycentricPoint) -> bool:

@@ -7,7 +7,7 @@ tests/run_mutants.py` applies them one at a time to a copy of the tree;
 exactly once, so a refactor that moves the code must update this file.
 `origin` names the change that recorded the mutant and `guards` the rule
 it probes.  Retired mutants are kept below with the reason they no longer
-apply.
+apply, as is a mutant that was tried and not registered, with the reason.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ MUTANTS = [
     # -- search table -------------------------------------------------------
     Mutant(
         DIMENSION,
-        "groups = sorted({a & unassigned for _, a in fam_comps})",
-        "groups = []",
+        "masks = {a & near for _, a in fam_comps}",
+        "masks = set()",
         ("tests/test_acceptance.py::test_criterion_6_dimension_separation",),
         "search table",
         "the residual state keeps the component groups",
@@ -262,11 +262,36 @@ MUTANTS = [
     ),
     Mutant(
         DIMENSION,
-        "key = key << nv | h & unassigned",
-        "key = key << nv",
+        "masks = {h & unassigned for h in holds[fam]}",
+        "masks = set()",
         ("tests/test_acceptance.py::test_criterion_6_dimension_separation",),
         "search table",
         "the residual state keeps the holds rows",
+    ),
+    # -- canonical search states ---------------------------------------------
+    Mutant(
+        DIMENSION,
+        "            descriptors.sort()\n",
+        "",
+        ("tests/test_dimension.py::test_the_table_answers_mirrored_states",),
+        "canonical search states",
+        "a twin class's open members are keyed as a multiset",
+    ),
+    Mutant(
+        DIMENSION,
+        "masks = {a & near for _, a in fam_comps}\n                masks.discard(0)\n",
+        "masks = {a & near for _, a in fam_comps}\n",
+        ("tests/test_dimension.py::test_the_table_answers_mirrored_states",),
+        "canonical search states",
+        "a component mask that no vertex can join is dropped",
+    ),
+    Mutant(
+        DIMENSION,
+        "width = max(nv, kappa.bit_length()",
+        "width = max(nv.bit_length() + 2, kappa.bit_length()",
+        ("tests/test_dimension.py::test_search_catalog_trees_are_pinned",),
+        "canonical search states",
+        "a key field holds a mask of every stage vertex",
     ),
     # -- nerves and map checks from facets --------------------------------
     Mutant(
@@ -676,6 +701,12 @@ RETIRED = [
      "the point reader loses `space.stage(level)` before its mapped call",
      "the point document and its reader are gone; the star-set reader's "
      "mutant guards the same rule, levels before labels"),
+    ("canonical search states",
+     "a closed twin is keyed as an open one with no component",
+     "not registered, since no test kills it: on criterion 6 and on 460 "
+     "three- and four-family level-1 trees over the tetrahedron and the "
+     "4-simplex, every pair of states it merges had equal node and prune "
+     "counts"),
     ("one holders index per cover",
      "`max` for `min` in `refinement_map`",
      "the same mutant as 'the refinement map picks the least-id coarse "

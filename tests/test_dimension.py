@@ -335,6 +335,55 @@ def test_search_walks_the_reference_tree():
     assert answered == 6
 
 
+def _random_star_family(space, rng):
+    """One level-1 element U(v) per base vertex v, inside the open star of
+    v: each base simplex's barycenter goes to U(u) for a nonempty random set
+    of its vertices u."""
+    base = space.stage_complex(0)
+    cores: dict = {v: set() for v in base.vertices}
+    for s in sorted(base.simplices, key=simplex_key):
+        owners = sorted(s, key=vlabel)
+        for u in rng.sample(owners, rng.randint(1, len(owners))):
+            cores[u].add(base.barycenters[s])
+    vertices = sorted(cores, key=vlabel)
+    return [(f"U{vlabel(v)}", StarSet(space, 1, frozenset(cores[v]))) for v in vertices]
+
+
+def test_search_walks_the_reference_tree_over_twin_classes():
+    """Families with equal cores form a twin class, whose open members the
+    table keys as a multiset.  Two distinct levels (A, B) padded to three or
+    four families make the classes {0} and {1, 2(, 3)}; levels (A, B, A)
+    make the class {0, 2}, which is not contiguous.  On the triangle's
+    catalog shapes three and four families are found at once; on
+    tetrahedron covers of the same kind three families exhaust at level 1,
+    and the table answers part of each tree."""
+    rng = random.Random(27)
+    space = tri_space()
+    catalog = _catalog()
+    for kappa, pattern in itertools.product((3, 4), ((0, 1), (0, 1, 0))):
+        for _ in range(5):
+            a, b = (entry["groups"] for entry in rng.sample(catalog, 2))
+            levels = [(a, b)[i] for i in pattern]
+            cs = cover_sequence(space, [_shape_family(space, g) for g in levels])
+            _assert_walks_reference_tree(cs, kappa, 2, 1)
+            _assert_walks_reference_tree(cs, kappa, 2, 2)
+
+    tet = tet_space()
+    answered = 0
+    for kappa, pattern, count in ((3, (0, 1), 10), (3, (0, 1, 0), 10),
+                                  (4, (0, 1), 3), (4, (0, 1, 0), 3)):
+        for _ in range(count):
+            a, b = _random_star_family(tet, rng), _random_star_family(tet, rng)
+            assert a != b
+            cs = cover_sequence(tet, [(a, b)[i] for i in pattern])
+            audit, calls = _walked(cs, kappa, 1)
+            assert audit.nodes <= 20_000
+            assert audit.found == (kappa == 4)
+            answered += calls < audit.nodes + 1
+            _assert_walks_reference_tree(cs, kappa, 1)
+    assert answered >= 10
+
+
 ONE_LEVEL_GROUNDS = (edge_space(), boundary_space(), tri_space())
 
 
@@ -392,6 +441,17 @@ def test_search_catalog_trees_are_pinned():
         three = search_c_refinement(cs, 3, 2)
         assert three.status == "found"
         assert verify_c_refinement(three.refinement).ok
+
+
+def test_the_table_answers_mirrored_states():
+    """Criterion 6's level-2 search walks 2,574 of the 345,065 calls of its
+    tree.  The table answers a state whose twin families' open members
+    are another's in some order, or whose components differ only in masks
+    that no vertex can join; keying every family in order, it walked
+    5,599."""
+    audit, calls = _walked(vertex_star_cover(tri_space(), 2), 2, 2)
+    assert (audit.nodes, audit.prunes, audit.found) == (345_064, 72_576, False)
+    assert calls == 2_574
 
 
 @pytest.mark.parametrize("cap", [1, 64])

@@ -445,6 +445,19 @@ def test_string_coordinates_read_as_their_fractions(text):
         assert realize_map(g, as_text) == realize_map(g, exact)
 
 
+@pytest.mark.parametrize("text", [("1/2", "1/2"), ("1/3", "2/3"), ("1", "0")])
+def test_string_coordinates_pushed_to_their_own_level(text):
+    """A push to the point's own level reads the point as well: string
+    coordinates give the equal Fraction point, which pushes to itself."""
+    e = edge_space()
+    stage = e.stage_complex(0)
+    as_text = BarycentricPoint(0, dict(zip("ab", text)), stage)
+    exact = BarycentricPoint(0, dict(zip("ab", map(Fraction, text))), stage)
+    assert push_point(e, as_text, 0) == exact
+    assert push_point(e, exact, 0) == exact
+    assert all(type(c) is Fraction for c in push_point(e, as_text, 0).coords.values())
+
+
 def test_star_set_resolves_labels():
     e = edge_space()
     s = star_set(e, 1, ["b(a)", "b(a,b)"])

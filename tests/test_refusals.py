@@ -220,6 +220,14 @@ class TestCoordinates:
         with refused(InvalidPoint, "point does not live on a stage of this space"):
             push_point(tri_space(), p, 1)
 
+    @pytest.mark.parametrize("target_level", [0, 1])
+    def test_pushing_a_point_whose_coordinates_sum_to_three(self, target_level):
+        """The point is read also when it is pushed to its own level."""
+        e = edge_space()
+        p = BarycentricPoint(0, {"a": Fraction(3)}, e.stage_complex(0))
+        with refused(InvalidPoint, "coordinates sum to 3, expected 1"):
+            push_point(e, p, target_level)
+
     def test_a_key_that_is_no_stage_vertex(self):
         with refused(InvalidArgument, "7 is not a vertex of stage 0"):
             stage_point(tri_space(), 0, {7: "1"})
