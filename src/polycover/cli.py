@@ -3,7 +3,9 @@
 Exit codes: 0 success / certificate found, 1 predicate failure (witness
 JSON on stdout), 2 schema or input errors (one `schema error: <path>: ...`
 or `input error (<kind>): ...` line on stderr), 3 model-relative search
-exhaustion or `level budget exhausted: ...`.  All JSON payloads carry
+exhaustion or `level budget exhausted: ...` (a max level too low, a stage
+too large, or a search too deep for the stack; `mu-driver` prints its
+report instead of the line).  All JSON payloads carry
 schema_version and are byte-identical across runs for fixed inputs.
 """
 
@@ -268,8 +270,7 @@ def _cmd_crefine(args) -> int:
         cs, _read_json(args.map_file, "map"), kappa=args.kappa
     )
     families = extract_c_refinement(f, cs, args.kappa)
-    kappa = args.kappa if args.kappa is not None else cs.num_levels
-    r = CRefinement(tuple(families), kappa, cs)
+    r = CRefinement(tuple(families), len(families), cs)
     _emit(jsonio.dumps(jsonio.refinement_to_json(r)), args.out)
     return 0
 

@@ -352,7 +352,7 @@ def unindexed_delta(cs: CoverSequence, kappa: int | None = None) -> SimplicialCo
     kappa = _check_kappa(cs, kappa)
     rep: dict = {}
     name = {
-        (eid, n): rep.setdefault(star.core_vertices, f"{eid}@{n}")
+        (eid, n): rep.setdefault(star.core_vertices, vlabel((eid, n)))
         for eid, n, star in cs.elements(kappa)
     }
     member_sets = [{name[eid, n] for eid, _ in cs.levels[n]} for n in range(kappa)]

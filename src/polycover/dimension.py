@@ -65,9 +65,17 @@ class RefinementReport(NamedTuple):
         return self.ok
 
 
+def _common_level(r: CRefinement) -> tuple:
+    """The level at which a refinement is read, the finest of its source's
+    working level and its elements' levels, and its families pushed there."""
+    level = max([r.source.working_level] + [star.level for f in r.families for _, star in f])
+    return level, [[(eid, push_star(star, level)) for eid, star in f] for f in r.families]
+
+
 def refinement_as_cover(r: CRefinement) -> CoverSequence:
-    """Treat the refinement's families as the levels of a cover sequence."""
-    return cover_sequence(r.source.space, [list(f) for f in r.families])
+    """Treat the refinement's families as the levels of a cover sequence at
+    the common level (`_common_level`), so it never sits below its source."""
+    return cover_sequence(r.source.space, _common_level(r)[1])
 
 
 def check_families(r: CRefinement) -> None:
@@ -81,10 +89,12 @@ def check_families(r: CRefinement) -> None:
 def verify_c_refinement(r: CRefinement) -> RefinementReport:
     """Check disjointness per family, per-level refinement, and coverage.
 
-    All three checks are exact simplex combinatorics at a common level,
-    to which every element and every coarse element is pushed once; the
-    first violation is reported with a witness.  An overlap witness names
-    the least overlapping pair of elements in family order.  An element
+    All three checks are exact simplex combinatorics at the common level
+    (`_common_level`), to which every element and every coarse element is
+    pushed once; the first violation is reported with a witness.  An
+    overlap witness names the least overlapping pair of elements in family
+    order.  The same level is the working level of `refinement_as_cover`,
+    so the fine cover never sits below the source.  An element
     is tested against candidates only: the level-n coarse elements that
     the padded cover's `holders` at the common level list for one vertex
     of its core.  A coarse element containing it holds every such vertex,
@@ -92,13 +102,8 @@ def verify_c_refinement(r: CRefinement) -> RefinementReport:
     Refinements that `check_families` refuses are refused.
     """
     check_families(r)
-    level = max([r.source.working_level] + [star.level for f in r.families for _, star in f])
+    level, pushed = _common_level(r)
     stage = r.source.space.stage_complex(level)
-
-    pushed = [
-        [(eid, push_star(star, level)) for eid, star in family]
-        for family in r.families
-    ]
     cores = [[star.core_vertices for _, star in family] for family in pushed]
     overlap = _least_overlap(stage, cores)
     if overlap is not None:
@@ -223,12 +228,13 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     node that survives the prune check, the walk reads only its residual
     state, and the table keys that state canonically, so that states whose
     subtrees are provably equal share one entry.  A twin class is a set of
-    families with equal core multisets (`earlier_twins`).  The key holds
-    the unassigned set U, then, for each twin class in family order, the
-    sorted multiset of its open members' descriptors.  A member's
-    descriptor is the set of its nonzero `holds` masks within U and the
-    set of its components' nonzero neighbour masks within U & `live[fam]`.
-    Closed (unopened) members are left out.  The key is exact:
+    families with equal core multisets, found once per level, and the twin
+    rule opens a member only once its predecessor in the class is open.
+    The key holds the unassigned set U, then, for each twin class in
+    family order, the sorted multiset of its open members' descriptors.
+    A member's descriptor is the set of its nonzero `holds` masks within U
+    and the set of its components' nonzero neighbour masks within
+    U & `live[fam]`.  Closed (unopened) members are left out.  The key is exact:
 
     - The walk reads a family's rows only through their OR and the per-row
       update, so row order and repeated rows do not matter, and a row that
@@ -257,6 +263,10 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     holds more than 2**32 nodes.  The table is released when the level's
     search ends, and cleared whenever it reaches `SEARCH_TABLE_CAP`
     entries.
+
+    The walk recurses once per assigned vertex.  A stage too deep for the
+    interpreter's stack raises LevelBudgetExceeded instead of a
+    RecursionError; which level trips depends on the caller's depth.
     """
     space = cs.space
     common = max(level, cs.working_level)
@@ -270,7 +280,6 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
 
     padded = pad_levels(cs, kappa)
     rows = padded.pushed(kappa, common)
-    cores = [[star.core_vertices for _, star in row] for row in rows]
     position = {
         (eid, n): j for n, row in enumerate(rows) for j, (eid, _) in enumerate(row)
     }
@@ -283,19 +292,16 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
     live = [reduce(or_, row, 0) for row in holds]
     comps: list = [[] for _ in range(kappa)]
 
-    # Families whose element point sets agree are interchangeable; breaking
-    # that symmetry (a class member may only be opened after every earlier
-    # member of its class) preserves satisfiability.
-    earlier_twins = [
-        [g for g in range(fam) if Counter(cores[g]) == Counter(cores[fam])]
-        for fam in range(kappa)
-    ]
-    # The twin classes, each in family order.
-    classes = [
-        [fam] + [g for g in range(fam + 1, kappa) if fam in earlier_twins[g]]
-        for fam in range(kappa)
-        if not earlier_twins[fam]
-    ]
+    # Families whose element point sets agree are interchangeable.  The twin
+    # classes, each in family order; breaking that symmetry (a member may
+    # only be opened once the member `before` it in its class is open)
+    # preserves satisfiability.
+    twins: dict = {}
+    for fam, row in enumerate(rows):
+        cores = frozenset(Counter(star.core_vertices for _, star in row).items())
+        twins.setdefault(cores, []).append(fam)
+    classes = list(twins.values())
+    before = {fam: g for members in classes for g, fam in zip(members, members[1:])}
     # Key fields are `width` bits: enough for a mask of nv bits, a count of
     # open members (at most kappa), of rows, and of components (at most nv).
     width = max(nv, kappa.bit_length(), max(map(len, rows)).bit_length())
@@ -360,7 +366,7 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
             if not live[fam] & bit:
                 continue
             fam_comps = comps[fam]
-            if not fam_comps and any(not comps[g] for g in earlier_twins[fam]):
+            if not fam_comps and fam in before and not comps[before[fam]]:
                 continue
             nodes += 1
             members, around = bit, adj[bit.bit_length() - 1]
@@ -389,6 +395,8 @@ def _search_at_level(cs: CoverSequence, kappa: int, level: int):
 
     try:
         found = dfs((1 << nv) - 1)
+    except RecursionError:
+        raise LevelBudgetExceeded(f"the level-{level} search is too deep for the stack") from None
     finally:
         table.clear()
     audit = SearchAudit(level, nodes, prunes, found)

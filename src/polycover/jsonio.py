@@ -372,18 +372,11 @@ def refinement_from_json(cs: CoverSequence, data) -> CRefinement:
 
 
 def report_to_json(report: RefinementReport) -> dict:
-    return {
-        "ok": report.ok,
-        "failure": report.failure,
-        "witness": report.witness,
-    }
+    return report._asdict()
 
 
 def _audits_to_json(audits) -> list:
-    return [
-        {"level": a.level, "nodes": a.nodes, "prunes": a.prunes, "found": a.found}
-        for a in audits
-    ]
+    return [a._asdict() for a in audits]
 
 
 def search_to_json(result: SearchResult) -> dict:

@@ -661,6 +661,43 @@ MUTANTS = [
         "exact points off the import path",
         "a vertex of zero weight needs no image under an affine map",
     ),
+    # -- one home per refinement rule ---------------------------------------
+    Mutant(
+        DIMENSION,
+        "            if not fam_comps and fam in before and not comps[before[fam]]:\n"
+        "                continue\n",
+        "",
+        ("tests/test_acceptance.py::test_criterion_6_dimension_separation",),
+        "one home per refinement rule",
+        "a closed twin is opened only after the member before it",
+    ),
+    Mutant(
+        DIMENSION,
+        "before = {fam: g for members in classes for g, fam in zip(members, members[1:])}",
+        "before = {fam: members[0] for members in classes for fam in members[1:]}",
+        ("tests/test_dimension.py::test_search_walks_the_reference_tree",),
+        "one home per refinement rule",
+        "the twin rule reads the member just before, not the class's first",
+    ),
+    Mutant(
+        DIMENSION,
+        "    level = max([r.source.working_level] + [star.level for f in r.families",
+        "    level = max([0] + [star.level for f in r.families",
+        ("tests/test_dimension.py::TestMuDriver::test_search_certificate_below_the_working_level",
+         "tests/test_dimension.py::test_mu_driver_returns_a_report_or_a_budget_refusal"),
+        "one home per refinement rule",
+        "a refinement's common level is never below its source's working level",
+    ),
+    Mutant(
+        DIMENSION,
+        "    except RecursionError:\n"
+        '        raise LevelBudgetExceeded(f"the level-{level} search is too deep for the stack")'
+        " from None\n",
+        "",
+        ("tests/test_jsonio_cli.py::TestCli::test_deep_search_exit_three",),
+        "one home per refinement rule",
+        "a search too deep for the stack is refused as over budget",
+    ),
 ]
 
 # (origin, what the mutant did, why it no longer applies)

@@ -625,6 +625,38 @@ class TestMuDriver:
         assert report.refinement_method == "search"
         assert report.search_status == "found"
 
+    def test_search_certificate_below_the_working_level(self):
+        # The search finds X's stars at level 0, below the working level 1;
+        # the fine cover is read at the common level, never below its source.
+        sp = tri_space()
+        report = mu_driver(cover_sequence(sp, [[("X", full_star(sp, 1))]]), n_plus_one(1), 1)
+        assert report.success
+        assert report.search_audits == ((0, 3, 0, True),)
+        assert report.canonical_level == 1
+
+    def test_working_level_beyond_the_max_level_is_a_budget_refusal(self):
+        sp = tri_space()
+        cs = cover_sequence(sp, [[("X", full_star(sp, 1))]])
+        with pytest.raises(LevelBudgetExceeded) as refusal:
+            mu_driver(cs, n_plus_one(1), 0)
+        assert str(refusal.value) == "no canonical assignment up to subdivision level 0"
+        assert refusal.value.report.search_status == "found"
+
+
+def test_mu_driver_returns_a_report_or_a_budget_refusal():
+    """Seeded random covers in every mode: the driver returns a report or
+    refuses with LevelBudgetExceeded, and raises nothing else."""
+    rng = random.Random(5)
+    modes = [n_plus_one(0), n_plus_one(1), n_plus_one(2), omega_plus_one(), omega()]
+    for _ in range(300):
+        space = rng.choice([edge_space(), boundary_space(), tri_space()])
+        level = rng.randint(0, 1 if space.base.dim == 2 else 2)
+        cs = random_cover(space, rng, level, rng.randint(1, 3))
+        try:
+            mu_driver(cs, rng.choice(modes), 2)
+        except LevelBudgetExceeded:
+            pass
+
 
 def test_dim_oracle_values():
     assert dim_oracle(edge_space()) == 1

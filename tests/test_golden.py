@@ -268,6 +268,11 @@ CASES = {
         ["mu-driver", "--mode", "dim:2", "--max-level", "0", "tri2.cover.json"],
         "mu_report",
     ),
+    # the search's certificate lies at level 0, below the working level 1
+    "mu-driver-below-working": (
+        ["mu-driver", "whole1.cover.json", "--mode", "dim:1"],
+        "mu_report",
+    ),
     "cover-uncovered": (["nerve", "--cover", "uncovered.cover.json"], None),
     "cover-duplicate-id": (["nerve", "--cover", "duplicate_id.cover.json"], None),
     # the two levels cover together, but neither covers on its own
@@ -426,6 +431,7 @@ INPUT_SCHEMAS = {
     "tri1_incomplete.map.json": "canonical_map",
     "uncovered.cover.json": "cover_sequence",
     "uncovered.refinement.json": "refinement",
+    "whole1.cover.json": "cover_sequence",
 }
 
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +452,23 @@ class TestCli:
             "level budget exhausted: stage 2 would have 5016249 simplices, "
             "over the limit of 250000\n"
         )
+
+    # The search recurses once per assigned vertex.  Which level outgrows
+    # the stack depends on the caller's depth, so the level is not pinned.
+    DEEP = r"the level-\d+ search is too deep for the stack"
+
+    def test_deep_search_exit_three(self, capsys):
+        cover = str(GOLDEN_INPUTS / "tri3.cover.json")
+        code = main(["crefine", "search", "--cover", cover, "--kappa", "1", "--max-level", "6"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert re.fullmatch(f"level budget exhausted: {self.DEEP}\n", captured.err)
+
+    def test_deep_search_in_mu_driver_prints_the_report(self, capsys):
+        code = main(["mu-driver", str(GOLDEN_INPUTS / "clash.cover.json"), "--mode", "dim:0"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 3 and out["success"] is False
+        assert re.fullmatch(self.DEEP, out["failure"])
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
